@@ -1,9 +1,12 @@
 """Exact and empirical shifted-correlation averages of +-1 completely
 multiplicative functions: local densities, correlation products over prime
 sets, the spectrum of attainable values, and the symmetric-difference closure
-machinery over the two-element field."""
+machinery over the two-element field.
+
+The sieve names load `sieve`, and with it numpy, on first use."""
 
 from .core import (
+    DEFAULT_SEGMENT_LENGTH,
     MAX_INPUT,
     BudgetError,
     DiffSet,
@@ -36,16 +39,6 @@ from .gf2 import (
     squarefree_part,
     two_element_member,
 )
-from .sieve import (
-    DEFAULT_SEGMENT_LENGTH,
-    SeriesSample,
-    SieveConfig,
-    SignSeries,
-    empirical_density,
-    running_average,
-    shifted_parities,
-    sieve_parities,
-)
 from .spectrum import (
     Correlation,
     CorrelationInterval,
@@ -57,6 +50,27 @@ from .spectrum import (
 )
 
 __version__ = "0.1.0"
+
+_SIEVE_NAMES = frozenset(
+    {
+        "SeriesSample",
+        "SieveConfig",
+        "SignSeries",
+        "empirical_density",
+        "running_average",
+        "shifted_parities",
+        "sieve_parities",
+    }
+)
+
+
+def __getattr__(name: str):
+    if name in _SIEVE_NAMES:
+        from . import sieve
+
+        return getattr(sieve, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "MAX_INPUT",

@@ -19,10 +19,9 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
-from .core import BudgetError, PrimeSet, ShiftSet
+from .core import DEFAULT_SEGMENT_LENGTH, BudgetError, PrimeSet, ShiftSet
 from .density import local_density, local_density_trace
 from .gf2 import closure_membership, family_from_generators, pow_t_mod, two_element_member
-from .sieve import DEFAULT_SEGMENT_LENGTH, SieveConfig, running_average
 from .spectrum import (
     construct_prime_set,
     correlation,
@@ -138,6 +137,8 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .sieve import SieveConfig, running_average  # numpy loads only for sieve commands
+
     pset = PrimeSet(_parse_int_list(args.primes, "prime"))
     shifts = ShiftSet(_parse_int_list(args.shifts, "shift"))
     tol = _parse_fraction(args.tol, "tolerance")
@@ -239,6 +240,8 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_series(args) -> int:
+    from .sieve import SieveConfig, running_average
+
     pset = PrimeSet(_parse_int_list(args.primes, "prime"))
     shifts = ShiftSet(_parse_int_list(args.shifts, "shift"))
     cfg = SieveConfig(

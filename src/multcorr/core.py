@@ -6,18 +6,35 @@ by the set of primes where it equals -1.  This module holds the two set types
 pointwise evaluators: the restricted prime-factor count `omega`, the sign
 `liouville`, and the shifted product `shifted_sign`.
 
-Everything here is pure and immutable; values are computed by repeated
-division by the configured primes only, never by full factorization.
+Everything here is pure and immutable; pointwise values are computed by
+repeated division by the configured primes only, never by full
+factorization.  Prime generation is a segmented sieve of Eratosthenes; the
+exceptional primes of a shift set come from factoring its differences.
+
+Nothing here imports numpy, so commands that never sieve parities do not
+pay for loading it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
+from math import gcd, isqrt
 from typing import Iterable, Iterator
 
 # Pointwise evaluators accept inputs up to 2**63 - 1 (minus the largest shift
 # for shifted products); larger arguments are rejected.
 MAX_INPUT = 2**63 - 1
+
+# Default window length of the parity sieve (`sieve.SieveConfig`); it lives
+# here so that the CLI can build its parser without importing numpy.
+DEFAULT_SEGMENT_LENGTH = 1 << 22
+
+# `primes_from` sieves segments of this many odd numbers, with base primes up
+# to at most _BASE_CAP; a survivor at or above _BASE_CAP**2 may still have a
+# larger factor, so there each survivor is confirmed by `is_prime`.
+_SEGMENT_ODDS = 1 << 15
+_BASE_CAP = 1 << 20
 
 
 class BudgetError(RuntimeError):
@@ -53,18 +70,58 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _odd_primes_upto(limit: int) -> list[int]:
+    """Odd primes <= limit by a plain sieve over the odd numbers."""
+    size = (limit + 1) // 2  # index i stands for 2*i + 1
+    flags = bytearray([1]) * size
+    flags[0] = 0
+    i = 1
+    while (2 * i + 1) ** 2 <= limit:
+        if flags[i]:
+            q = 2 * i + 1
+            first = q * q // 2
+            flags[first::q] = bytes(len(range(first, size, q)))
+        i += 1
+    return [2 * i + 1 for i in compress(range(size), flags)]
+
+
 def primes_from(start: int) -> Iterator[int]:
-    """Yield primes strictly greater than `start` in increasing order."""
-    n = max(start, 1) + 1
-    if n <= 2:
+    """Yield primes strictly greater than `start` in increasing order.
+
+    A segmented sieve of Eratosthenes over the odd numbers (Bays & Hudson
+    1977).  Each segment is crossed off by the odd base primes up to its
+    square root; the base table grows by doubling up to _BASE_CAP.  Above
+    _BASE_CAP**2 the survivors are confirmed by `is_prime`, so the same code
+    stays exact past 2**63.
+    """
+    if start < 2:
         yield 2
-        n = 3
-    if n % 2 == 0:
-        n += 1
+    lo = max(start + 1, 3) | 1  # smallest odd candidate above start
+    base: list[int] = []
+    base_limit = 1  # every odd prime <= base_limit is in base
     while True:
-        if is_prime(n):
-            yield n
-        n += 2
+        hi = lo + 2 * _SEGMENT_ODDS  # this segment is the odd n in [lo, hi)
+        need = min(isqrt(hi), _BASE_CAP)
+        if need > base_limit:
+            base_limit = min(max(need, 2 * base_limit), _BASE_CAP)
+            base = _odd_primes_upto(base_limit)
+        seg = bytearray([1]) * _SEGMENT_ODDS
+        for q in base:
+            first = q * q
+            if first >= hi:
+                break
+            if first < lo:
+                first = (lo + q - 1) // q * q
+                if not first & 1:
+                    first += q
+            i = (first - lo) >> 1
+            if i < _SEGMENT_ODDS:
+                seg[i::q] = bytes((_SEGMENT_ODDS - 1 - i) // q + 1)
+        survivors = compress(range(lo, hi, 2), seg)
+        if hi > (base_limit + 1) ** 2:
+            survivors = filter(is_prime, survivors)
+        yield from survivors
+        lo = hi
 
 
 def _check_distinct_sorted(values: tuple[int, ...], what: str) -> None:
@@ -228,17 +285,55 @@ def shifted_sign(pset: PrimeSet, shifts: ShiftSet, n: int) -> int:
     return sign
 
 
+_TRIAL_PRIMES = (2, *_odd_primes_upto(1 << 10))
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of an odd composite n without small factors (Brent 1980)."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batched product overshot: retrace one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise AssertionError(f"no factor found for {n}")
+
+
 def _prime_factors(m: int) -> set[int]:
+    """Distinct prime factors: trial division by small primes, then
+    Pollard-Brent on whatever composite cofactor is left."""
     out = set()
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            out.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        out.add(m)
+    for p in _TRIAL_PRIMES:
+        if p * p > m:
+            break
+        if m % p == 0:
+            out.add(p)
+            while m % p == 0:
+                m //= p
+    pending = [m] if m > 1 else []
+    while pending:
+        n = pending.pop()
+        if is_prime(n):
+            out.add(n)
+        else:
+            f = _pollard_brent(n)
+            pending += (f, n // f)
     return out
 
 

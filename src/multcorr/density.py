@@ -35,7 +35,7 @@ _memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
 
 def _normalize(shifts: tuple[int, ...]) -> tuple[int, ...]:
     base = shifts[0]
-    return tuple(h - base for h in shifts)
+    return tuple([h - base for h in shifts])
 
 
 def _depth_cap(p: int, shifts: tuple[int, ...]) -> int:
@@ -63,10 +63,14 @@ def _eta(p: int, shifts: tuple[int, ...], depth: int, cap: int) -> Fraction:
         raise BudgetError(f"density recursion exceeded depth cap {cap} at p={p}")
     classes = _split_classes(p, shifts)
     if len(classes) > 1:
-        value = sum((_eta(p, cls, depth + 1, cap) for cls in classes), Fraction(0))
+        # Singleton classes each add 1/(p+1): add them in one step.
+        multi = [cls for cls in classes if len(cls) > 1]
+        value = Fraction(len(classes) - len(multi), p + 1)
+        for cls in multi:
+            value += _eta(p, cls, depth + 1, cap)
     else:
         i1 = shifts[0] % p
-        inner = tuple((h - i1) // p for h in shifts)
+        inner = tuple([(h - i1) // p for h in shifts])
         sub = _eta(p, inner, depth + 1, cap)
         value = sub / p if len(shifts) % 2 == 0 else (1 - sub) / p
     _memo[key] = value

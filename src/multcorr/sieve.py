@@ -22,9 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import MAX_INPUT, PrimeSet, ShiftSet
-
-DEFAULT_SEGMENT_LENGTH = 1 << 22
+from .core import DEFAULT_SEGMENT_LENGTH, MAX_INPUT, PrimeSet, ShiftSet
 
 
 @dataclass(frozen=True)

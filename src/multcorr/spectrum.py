@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .core import BudgetError, PrimeSet, ShiftSet, exceptional_primes, primes_from
 from .density import local_density
@@ -81,12 +82,9 @@ def truncated_correlation(
     return CorrelationInterval(center, 2 * len(shifts) * tail)
 
 
-def _smallest_non_exceptional(shifts: ShiftSet) -> int:
-    diffs = shifts.differences()
-    for p in primes_from(1):
-        if not diffs.divisible_by(p):
-            return p
-    raise AssertionError("unreachable")
+def _smallest_non_exceptional(exceptional: PrimeSet) -> int:
+    excluded = set(exceptional)
+    return next(p for p in primes_from(1) if p not in excluded)
 
 
 def describe_spectrum(shifts: ShiftSet) -> SpectrumDescription:
@@ -99,8 +97,9 @@ def describe_spectrum(shifts: ShiftSet) -> SpectrumDescription:
     """
     if not shifts:
         raise ValueError("spectrum needs a non-empty shift set")
-    candidates = [(p, 1 - 2 * local_density(p, shifts)) for p in exceptional_primes(shifts)]
-    q = _smallest_non_exceptional(shifts)
+    exceptional = exceptional_primes(shifts)
+    candidates = [(p, 1 - 2 * local_density(p, shifts)) for p in exceptional]
+    q = _smallest_non_exceptional(exceptional)
     candidates.append((q, 1 - Fraction(2 * len(shifts), q + 1)))
     floor = min(f for _, f in candidates)
     witness = min(p for p, f in candidates if f == floor)
@@ -120,29 +119,38 @@ def _greedy(
 
     Includes p whenever the running product stays at or above the target;
     factors tend to 1, so the product converges onto [target, target + eps].
+    The product is kept as a reduced integer fraction num/den and compared
+    by cross-multiplication; den stays positive.
     """
     diffs = shifts.differences()
-    current = Fraction(1)
+    tn, td = target.numerator, target.denominator
+    upper = target + eps
+    un, ud = upper.numerator, upper.denominator
+    num = den = 1
     chosen: list[int] = []
     scanned = 0
     gen = primes_from(floor)
-    while current - target > eps:
+    while num * ud > un * den:
         scanned += 1
         if scanned > budget:
             raise BudgetError(
                 f"target {target} not reached within a budget of {budget} primes "
-                f"(current product {current})"
+                f"(current product {Fraction(num, den)})"
             )
         p = next(gen)
         if p in avoid or diffs.divisible_by(p):
             continue
-        factor = 1 - Fraction(2 * d, p + 1)
-        if factor <= 0:
+        fn, fd = p + 1 - 2 * d, p + 1  # the factor 1 - 2d/(p+1)
+        if fn <= 0:
             continue
-        if current * factor >= target:
-            current *= factor
+        if num * fn * td >= tn * den * fd:
+            g = gcd(fn, fd)
+            fn, fd = fn // g, fd // g
+            g1, g2 = gcd(num, fd), gcd(fn, den)
+            num = (num // g1) * (fn // g2)
+            den = (den // g2) * (fd // g1)
             chosen.append(p)
-    return chosen, current
+    return chosen, Fraction(num, den)
 
 
 def construct_prime_set(

@@ -206,6 +206,26 @@ class TestProtocol:
         assert proc.returncode == 0
         assert "1/6" in proc.stdout
 
+    def test_exact_commands_do_not_import_numpy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys\n"
+            "import multcorr.cli as cli\n"
+            "cli.build_parser()\n"
+            "assert 'numpy' not in sys.modules, 'parser'\n"
+            "assert cli.main(['spectrum', '-H', '0,4,6']) == 0\n"
+            "assert 'numpy' not in sys.modules, 'spectrum'\n"
+            "from multcorr import SieveConfig\n"
+            "assert 'numpy' in sys.modules, 'sieve names load numpy'\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestRendering:
     def test_rational_str(self):

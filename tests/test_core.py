@@ -1,4 +1,7 @@
 import math
+import random
+import time
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -16,7 +19,7 @@ from multcorr import (
     shifted_sign,
 )
 
-from oracles import omega_oracle, primes_upto, shifted_sign_oracle, sign_oracle
+from oracles import factorize, omega_oracle, primes_upto, shifted_sign_oracle, sign_oracle
 
 SMALL_PRIMES = primes_upto(50)
 
@@ -35,6 +38,27 @@ def test_primes_from_is_strictly_above_start():
     assert [next(gen) for _ in range(3)] == [11, 13, 17]
     assert next(primes_from(1)) == 2
     assert next(primes_from(13)) == 17
+
+
+@pytest.mark.parametrize("start", [0, 1, 2, 3])
+def test_primes_from_small_starts_match_sieve(start):
+    expected = [p for p in primes_upto(2 * 10**6) if p > start]
+    assert list(islice(primes_from(start), len(expected))) == expected
+
+
+@pytest.mark.parametrize("start", [65_535, 65_536, 131_071, 1_048_573, 1_999_000])
+def test_primes_from_across_segment_boundaries(start):
+    # A segment covers 2**16 integers, so each range crosses several segment
+    # boundaries, and the base-prime table regrows along the way.
+    expected = [p for p in primes_upto(start + 300_000) if p > start]
+    assert list(islice(primes_from(start), len(expected))) == expected
+
+
+@pytest.mark.parametrize("start", [10**13, 2**63 - 5000, 2**64 + 10])
+def test_primes_from_above_base_prime_cap(start):
+    # Past the base-prime cap squared every survivor is confirmed by is_prime.
+    expected = [n for n in range(start + 1, start + 3000) if is_prime(n)]
+    assert list(islice(primes_from(start), len(expected))) == expected
 
 
 class TestPrimeSet:
@@ -157,6 +181,25 @@ class TestExceptionalPrimes:
     def test_empty_for_small_sets(self):
         assert exceptional_primes(ShiftSet()) == PrimeSet()
         assert exceptional_primes(ShiftSet([9])) == PrimeSet()
+
+    def test_matches_factorization_of_random_differences(self):
+        rng = random.Random(7)
+        for _ in range(300):
+            d = rng.randrange(1, 10**6)
+            assert exceptional_primes(ShiftSet([0, d])) == PrimeSet(factorize(d))
+
+    def test_semiprime_with_factors_near_two_to_the_thirty(self):
+        rng = random.Random(11)
+        for _ in range(3):
+            p, q = (next(primes_from(rng.randrange(2**30 - 2**20, 2**30))) for _ in range(2))
+            assert exceptional_primes(ShiftSet([0, p * q])) == PrimeSet({p, q})
+            assert exceptional_primes(ShiftSet([5, 5 + 12 * p * q])) == PrimeSet({2, 3, p, q})
+
+    def test_sixty_one_bit_difference_is_fast(self):
+        t0 = time.perf_counter()
+        assert exceptional_primes(ShiftSet([0, 2**61 - 1])) == PrimeSet([2**61 - 1])
+        assert exceptional_primes(ShiftSet([0, 2**62])) == PrimeSet([2])
+        assert time.perf_counter() - t0 < 1.0
 
     @given(shift_sets)
     def test_members_divide_some_difference(self, shifts):

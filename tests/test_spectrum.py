@@ -20,7 +20,37 @@ from multcorr import (
     truncated_correlation,
 )
 
+from multcorr.spectrum import _greedy
 from oracles import primes_upto
+
+ORACLE_PRIMES = primes_upto(10**6)
+
+
+def fraction_greedy(d, target, eps, floor, avoid, budget, shifts):
+    """The greedy scan on Fraction arithmetic over an independent prime table:
+    the reference the integer greedy must reproduce prime for prime."""
+    diffs = list(shifts.differences())
+    current = Fraction(1)
+    chosen = []
+    scanned = 0
+    gen = iter(p for p in ORACLE_PRIMES if p > floor)
+    while current - target > eps:
+        scanned += 1
+        if scanned > budget:
+            raise BudgetError(
+                f"target {target} not reached within a budget of {budget} primes "
+                f"(current product {current})"
+            )
+        p = next(gen)
+        if p in avoid or any(x % p == 0 for x in diffs):
+            continue
+        factor = 1 - Fraction(2 * d, p + 1)
+        if factor <= 0:
+            continue
+        if current * factor >= target:
+            current *= factor
+            chosen.append(p)
+    return chosen, current
 
 prime_sets = st.sets(st.sampled_from(primes_upto(30)), max_size=4).map(PrimeSet)
 shift_sets = st.sets(st.integers(0, 20), max_size=4).map(ShiftSet)
@@ -163,6 +193,37 @@ class TestConstruct:
             construct_prime_set(
                 ShiftSet([0]), Fraction(577, 1000), Fraction(1, 10**9), budget=5
             )
+
+    @pytest.mark.parametrize(
+        "target, budget, message",
+        [
+            ("577/1000", 3, "target 577/1000 not reached within a budget of 3 primes (current product 2/3)"),
+            ("17/100", 30, "target 17/100 not reached within a budget of 30 primes (current product 14/81)"),
+        ],
+    )
+    def test_budget_message_text(self, target, budget, message):
+        with pytest.raises(BudgetError) as info:
+            construct_prime_set(ShiftSet([0]), Fraction(target), Fraction(1, 10**15), budget=budget)
+        assert str(info.value) == message
+
+    def test_integer_greedy_matches_fraction_greedy(self):
+        rng = random.Random(12)
+        negatives = 0
+        for _ in range(16):
+            shifts = ShiftSet([0] + rng.sample(range(1, 50), rng.randint(0, 2)))
+            desc = describe_spectrum(shifts)
+            eps = Fraction(1, 10 ** rng.randint(3, 5))
+            floor = max(shifts.differences().diffs, default=0)
+            d = len(shifts)
+            if desc.floor < 0:
+                negatives += 1
+                target = desc.floor * Fraction(rng.randint(100, 900), 1000)
+                args = (d, target / desc.floor, eps, floor, frozenset({desc.witness}), 10**5, shifts)
+            else:
+                target = Fraction(rng.randint(150, 950), 1000)
+                args = (d, target, eps, floor, frozenset(), 10**5, shifts)
+            assert _greedy(*args) == fraction_greedy(*args)
+        assert 4 <= negatives <= 12
 
     def test_round_trip_random_targets(self):
         rng = random.Random(4)
