@@ -24,19 +24,12 @@ from .density import (
     closed_form_density,
     local_density,
     local_density_trace,
-    set_density,
 )
 from .gf2 import (
     ClosureFamily,
     F2Poly,
     closure_membership,
-    derivative,
-    encode,
-    factor_degrees,
     family_from_generators,
-    poly_gcd,
-    pow_t_mod,
-    squarefree_part,
     two_element_member,
 )
 from .spectrum import (
@@ -46,6 +39,7 @@ from .spectrum import (
     construct_prime_set,
     correlation,
     describe_spectrum,
+    set_density,
     truncated_correlation,
 )
 
@@ -88,17 +82,10 @@ __all__ = [
     "closed_form_density",
     "local_density",
     "local_density_trace",
-    "set_density",
     "ClosureFamily",
     "F2Poly",
     "closure_membership",
-    "derivative",
-    "encode",
-    "factor_degrees",
     "family_from_generators",
-    "poly_gcd",
-    "pow_t_mod",
-    "squarefree_part",
     "two_element_member",
     "DEFAULT_SEGMENT_LENGTH",
     "SeriesSample",
@@ -114,5 +101,6 @@ __all__ = [
     "construct_prime_set",
     "correlation",
     "describe_spectrum",
+    "set_density",
     "truncated_correlation",
 ]

@@ -11,8 +11,10 @@ recursion on the shift set:
   for H1 = (H - i)/p, complemented first when |H| is odd, giving value/p or
   (1 - value)/p.  max(H1) < max(H), so this case strictly shrinks the input.
 
-`set_density` combines local densities over a prime set with the fold
-eta <- eta*(1 - eta_p) + eta_p*(1 - eta), equivalently (1 - prod(1-2*eta_p))/2.
+`_step` is the one place that tells the two cases apart; the value
+recursion `_eta` and the structural view `local_density_trace` both call it.
+The density over a prime set, `set_density`, lives in `spectrum` next to the
+correlation product it is derived from.
 
 Results are memoized up to translation: shifting every element of H by a
 constant translates the level set and leaves the density unchanged.
@@ -21,10 +23,10 @@ constant translates the level set and leaves the density unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BudgetError, PrimeSet, ShiftSet, is_prime
+from .core import BudgetError, ShiftSet, is_prime
 
 # Depth cap is a defensive bound well above what the decreasing-max argument
 # allows; hitting it means an implementation bug, not a hard input.
@@ -43,11 +45,20 @@ def _depth_cap(p: int, shifts: tuple[int, ...]) -> int:
     return _DEPTH_SLACK * (1 + int(math.log(top + 1, p)))
 
 
-def _split_classes(p: int, shifts: tuple[int, ...]) -> list[tuple[int, ...]]:
+def _step(p: int, shifts: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int | None]:
+    """One recursion step on two or more shifts.
+
+    Returns the residue classes of H mod p in residue order and None when
+    there are several (a split), or the single rescaled set (H - i)/p and the
+    shared residue i (a rescale).
+    """
     classes: dict[int, list[int]] = {}
     for h in shifts:
         classes.setdefault(h % p, []).append(h)
-    return [tuple(cls) for _, cls in sorted(classes.items())]
+    if len(classes) > 1:
+        return [tuple(cls) for _, cls in sorted(classes.items())], None
+    i = shifts[0] % p
+    return [tuple([(h - i) // p for h in shifts])], i
 
 
 def _eta(p: int, shifts: tuple[int, ...], depth: int, cap: int) -> Fraction:
@@ -61,17 +72,15 @@ def _eta(p: int, shifts: tuple[int, ...], depth: int, cap: int) -> Fraction:
         return cached
     if depth > cap:
         raise BudgetError(f"density recursion exceeded depth cap {cap} at p={p}")
-    classes = _split_classes(p, shifts)
-    if len(classes) > 1:
+    children, residue = _step(p, shifts)
+    if residue is None:
         # Singleton classes each add 1/(p+1): add them in one step.
-        multi = [cls for cls in classes if len(cls) > 1]
-        value = Fraction(len(classes) - len(multi), p + 1)
+        multi = [cls for cls in children if len(cls) > 1]
+        value = Fraction(len(children) - len(multi), p + 1)
         for cls in multi:
             value += _eta(p, cls, depth + 1, cap)
     else:
-        i1 = shifts[0] % p
-        inner = tuple([(h - i1) // p for h in shifts])
-        sub = _eta(p, inner, depth + 1, cap)
+        sub = _eta(p, children[0], depth + 1, cap)
         value = sub / p if len(shifts) % 2 == 0 else (1 - sub) / p
     _memo[key] = value
     return value
@@ -96,15 +105,6 @@ def closed_form_density(p: int, shifts: ShiftSet) -> Fraction | None:
     if shifts.differences().divisible_by(p):
         return None
     return Fraction(len(shifts), p + 1)
-
-
-def set_density(pset: PrimeSet, shifts: ShiftSet) -> Fraction:
-    """Exact density of the -1 level set over a finite prime set."""
-    eta = Fraction(0)
-    for p in pset:
-        eta_p = local_density(p, shifts)
-        eta = eta * (1 - eta_p) + eta_p * (1 - eta)
-    return eta
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,9 @@ class DensityTrace:
             out = [f"{pad}rescale {hs}: residue {self.residue}, inner {inner}, {op}"]
         for c in self.children:
             out.extend(c.lines(depth + 1))
-        out_value = self.replay()
         if depth == 0:
-            out.append(f"value = {out_value.numerator}/{out_value.denominator}")
+            value = self.replay()
+            out.append(f"value = {value.numerator}/{value.denominator}")
         return out
 
 
@@ -171,13 +171,10 @@ def local_density_trace(p: int, shifts: ShiftSet) -> DensityTrace:
             return DensityTrace("singleton", p, hs)
         if depth > cap:
             raise BudgetError(f"density recursion exceeded depth cap {cap} at p={p}")
-        classes = _split_classes(p, hs)
-        if len(classes) > 1:
-            kids = tuple(walk(cls, depth + 1, cap) for cls in classes)
+        children, residue = _step(p, hs)
+        kids = tuple(walk(c, depth + 1, cap) for c in children)
+        if residue is None:
             return DensityTrace("split", p, hs, kids)
-        i1 = hs[0] % p
-        inner = tuple((h - i1) // p for h in hs)
-        kid = walk(inner, depth + 1, cap)
-        return DensityTrace("rescale", p, hs, (kid,), i1, len(hs) % 2 == 1)
+        return DensityTrace("rescale", p, hs, kids, residue, len(hs) % 2 == 1)
 
     return walk(shifts.shifts, 0, _depth_cap(p, shifts.shifts))

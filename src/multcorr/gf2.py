@@ -308,7 +308,8 @@ def two_element_member(fam: ClosureFamily) -> ShiftSet:
     degrees of the generator and 2**n at least the maximal factor
     multiplicity.  The output is certified by reducing t**D modulo the
     generator and demanding remainder 1; the certificate never trusts the
-    factorization data it was derived from.
+    factorization data it was derived from, and a failure raises
+    AssertionError (explicitly, so that -O keeps the check).
     """
     f = fam.generator.bits
     if f == 0:

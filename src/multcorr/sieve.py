@@ -16,6 +16,7 @@ merged in index order without changing a single bit of the result.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -178,7 +179,7 @@ def running_average(
     start = 1
     while start <= cfg.x_max:
         length = min(step, cfg.x_max + 1 - start)
-        inside = [x for x in sample_xs if start <= x < start + length]
+        inside = sample_xs[bisect_left(sample_xs, start) : bisect_left(sample_xs, start + length)]
         chunks.append((start, length, inside))
         start += length
 

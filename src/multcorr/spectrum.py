@@ -2,10 +2,12 @@
 
 The limiting average of a shifted sign product over a prime set P factors as
 the product over p in P of (1 - 2 * local density at p).  This module builds
-that product exactly, brackets the value of a truncated infinite set with the
-tail bound 2*|H|*sum(1/(p+1)), locates the infimum of the single-prime
-factors together with its witness prime, and constructs prime sets hitting a
-requested target value by a greedy scan.
+that product exactly, the one fold of per-prime factors, and derives from it
+the density of the -1 level set over P as (1 - product)/2 (`set_density`).
+It brackets the value of a truncated infinite set with the tail bound
+2*|H|*sum(1/(p+1)), locates the infimum of the single-prime factors together
+with its witness prime, and constructs prime sets hitting a requested target
+value by a greedy scan.
 """
 
 from __future__ import annotations
@@ -64,6 +66,11 @@ def correlation(pset: PrimeSet, shifts: ShiftSet) -> Correlation:
     for _, f in factors:
         value *= f
     return Correlation(value, factors)
+
+
+def set_density(pset: PrimeSet, shifts: ShiftSet) -> Fraction:
+    """Exact density of the -1 level set over a finite prime set."""
+    return (1 - correlation(pset, shifts).value) / 2
 
 
 def truncated_correlation(

@@ -27,7 +27,6 @@ from multcorr import (
     liouville,
     local_density,
     omega,
-    pow_t_mod,
     running_average,
     set_density,
     shifted_parities,
@@ -36,7 +35,7 @@ from multcorr import (
     two_element_member,
     closure_membership,
 )
-from multcorr.gf2 import F2Poly
+from multcorr.gf2 import F2Poly, pow_t_mod
 
 from oracles import poly_divides_oracle, primes_upto
 

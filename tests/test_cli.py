@@ -142,6 +142,13 @@ class TestClosureCommand:
         code, _, err = run_cli(capsys, "closure", "-G", "")
         assert code == 1 and "non-empty" in err
 
+    def test_unit_generator_certified(self, capsys):
+        # Generator 1 generates every set, so {0,1} is a certified member.
+        for argv in (["-G", "0"], ["-G", "0,1", "-G", "0,1,2"]):
+            code, out, _ = run_cli(capsys, "closure", *argv)
+            assert code == 0
+            assert "generator=1 member={0,1} certificate=ok" in out
+
 
 class TestSeriesCommand:
     def test_csv_shape(self, capsys):

@@ -98,11 +98,14 @@ class TestSetDensity:
 
     @given(st.sets(primes_to_30, min_size=1, max_size=4), shift_sets)
     def test_fold_matches_product_form(self, primes, shifts):
-        eta = set_density(PrimeSet(primes), shifts)
-        product = Fraction(1)
+        # Oracle that does not go through the correlation product: the level
+        # sets at distinct primes are independent, so the product is -1 when
+        # exactly one of the accumulated set and the new prime gives -1.
+        eta = Fraction(0)
         for p in primes:
-            product *= 1 - 2 * local_density(p, shifts)
-        assert eta == (1 - product) / 2
+            eta_p = local_density(p, shifts)
+            eta = eta * (1 - eta_p) + eta_p * (1 - eta)
+        assert set_density(PrimeSet(primes), shifts) == eta
 
 
 class TestTrace:

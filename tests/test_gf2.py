@@ -9,14 +9,16 @@ from multcorr import (
     F2Poly,
     ShiftSet,
     closure_membership,
+    family_from_generators,
+    two_element_member,
+)
+from multcorr.gf2 import (
     derivative,
     encode,
     factor_degrees,
-    family_from_generators,
     poly_gcd,
     pow_t_mod,
     squarefree_part,
-    two_element_member,
 )
 
 from oracles import poly_divides_oracle, poly_mul_oracle
