@@ -3,7 +3,8 @@
 
 For each configuration the exact correlation is an Euler-type product; the
 sieve average S(x) has no guaranteed convergence rate, so this script samples
-S(x) on a geometric grid of x and prints the gap |S(x) - limit| per sample.
+S(x) on a geometric grid of x, all from one sieve pass, and prints the gap
+|S(x) - limit| per sample.
 
 Usage: python scripts/convergence.py [--x-max 10000000] [--points 8] [--threads 2]
 """
@@ -34,21 +35,25 @@ def main() -> int:
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
-    grid = sorted(
-        {max(1, int(args.x_max * 2 ** (-k))) for k in range(args.points)} | {args.x_max}
-    )
+    if args.points < 1:
+        ap.error("--points must be at least 1")
+
+    # one pass samples every multiple of the grid's smallest point
+    stride = max(1, args.x_max >> (args.points - 1))
+    below = (stride << k for k in range(args.points - 1))
+    grid = [x for x in below if x < args.x_max] + [args.x_max]
+    cfg = SieveConfig(x_max=args.x_max, sample_stride=stride)
     for primes, shifts in CONFIGS:
         pset, hset = PrimeSet(primes), ShiftSet(shifts)
         exact = correlation(pset, hset).value
         t0 = time.perf_counter()
-        series = running_average(pset, hset, SieveConfig(x_max=args.x_max), threads=args.threads)
-        # re-run once per grid point: cheap next to the full-range pass
+        series = running_average(pset, hset, cfg, threads=args.threads)
         print(f"P={set(primes)} H={set(shifts)} exact={exact} "
               f"({time.perf_counter() - t0:.2f}s for x={args.x_max:.0e})")
+        by_x = {sample.x: sample for sample in series}
         for x in grid:
-            sx = running_average(pset, hset, SieveConfig(x_max=x), threads=args.threads)
-            gap = abs(sx.final.average - exact)
-            print(f"  x={x:>12,}  S(x)={float(sx.final.average):+.9f}  gap={float(gap):.3e}")
+            gap = abs(by_x[x].average - exact)
+            print(f"  x={x:>12,}  S(x)={float(by_x[x].average):+.9f}  gap={float(gap):.3e}")
         print(f"  final signed sum at x_max: {series.final.signed_sum:+d}")
     return 0
 

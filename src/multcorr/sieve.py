@@ -16,10 +16,13 @@ merged in index order without changing a single bit of the result.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -125,29 +128,6 @@ def shifted_parities(pset: PrimeSet, shifts: ShiftSet, lo: int, hi: int) -> np.n
     return out
 
 
-def _chunk_counts(
-    pset: PrimeSet,
-    shifts: ShiftSet,
-    start: int,
-    length: int,
-    boundaries: list[int],
-) -> tuple[list[int], int]:
-    """Minus-sign counts of one chunk, split at the sample boundaries inside it.
-
-    Returns the incremental counts ending at each boundary plus the count of
-    the tail after the last boundary.
-    """
-    lam = shifted_parities(pset, shifts, start, start + length)
-    parts = []
-    prev = 0
-    for x in boundaries:
-        off = x - start + 1
-        parts.append(int(np.count_nonzero(lam[prev:off])))
-        prev = off
-    tail = int(np.count_nonzero(lam[prev:length]))
-    return parts, tail
-
-
 def running_average(
     pset: PrimeSet,
     shifts: ShiftSet,
@@ -156,11 +136,18 @@ def running_average(
 ) -> SignSeries:
     """Exact partial averages of the shifted product at every sample point.
 
-    Sieves [1, x_max + max(H)] once in segments; the signed sum at x is
-    x - 2 * #{n <= x : shifted product = -1}.  With threads > 1 the segments
-    are sieved concurrently and merged in order, which cannot change any
-    output value.
+    Sieves [1, x_max + max(H)] once in windows of segment_length - max(H)
+    values of n; the signed sum at x is x - 2 * #{n <= x : shifted product
+    = -1}.  Each window [start, end) returns its sample positions and the
+    running count of -1 signs from start to each of them and to the window's
+    end, so the last count covers the whole window; one loop adds the count
+    carried from earlier windows.  With threads = 1 the windows are sieved
+    one after another in the calling thread; with more, by a pool of
+    min(threads, CPU count) workers and merged in order, which cannot change
+    any output value.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     maxh = shifts.max_shift
     if cfg.segment_length < maxh + 1:
         raise ValueError(
@@ -170,34 +157,24 @@ def running_average(
         raise ValueError(f"x_max {cfg.x_max} plus max shift exceeds the input width")
 
     stride = cfg.sample_stride or cfg.x_max
-    sample_xs = list(range(stride, cfg.x_max + 1, stride))
-    if not sample_xs or sample_xs[-1] != cfg.x_max:
-        sample_xs.append(cfg.x_max)
-
+    sample_xs = [*range(stride, cfg.x_max, stride), cfg.x_max]
     step = cfg.segment_length - maxh
-    chunks = []
-    start = 1
-    while start <= cfg.x_max:
-        length = min(step, cfg.x_max + 1 - start)
-        inside = sample_xs[bisect_left(sample_xs, start) : bisect_left(sample_xs, start + length)]
-        chunks.append((start, length, inside))
-        start += length
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda c: _chunk_counts(pset, shifts, *c), chunks)
-            )
-    else:
-        results = [_chunk_counts(pset, shifts, *c) for c in chunks]
+    def window(start: int) -> tuple[list[int], list[int]]:
+        end = min(start + step, cfg.x_max + 1)
+        lam = shifted_parities(pset, shifts, start, end)
+        xs = sample_xs[bisect_left(sample_xs, start) : bisect_left(sample_xs, end)]
+        cuts = [x + 1 - start for x in xs] + [end - start]
+        parts = (int(np.count_nonzero(lam[a:b])) for a, b in zip([0, *cuts], cuts))
+        return xs, list(accumulate(parts))
 
-    samples = []
+    workers = min(threads, os.cpu_count() or 1)
+    samples: list[SeriesSample] = []
     negatives = 0
-    for (start, length, inside), (parts, tail) in zip(chunks, results):
-        for x, part in zip(inside, parts):
-            negatives += part
-            samples.append(SeriesSample(x, x - 2 * negatives))
-        negatives += tail
+    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
+        for xs, counts in (pool.map if pool else map)(window, range(1, cfg.x_max + 1, step)):
+            samples += (SeriesSample(x, x - 2 * (negatives + c)) for x, c in zip(xs, counts))
+            negatives += counts[-1]
     return SignSeries(tuple(samples))
 
 

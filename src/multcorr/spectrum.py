@@ -142,7 +142,8 @@ def _greedy(
         if scanned > budget:
             raise BudgetError(
                 f"target {target} not reached within a budget of {budget} primes "
-                f"(current product {Fraction(num, den)})"
+                # approximate: num and den can outgrow the int-to-str digit limit
+                f"(current product {num / den:.12g})"
             )
         p = next(gen)
         if p in avoid or diffs.divisible_by(p):

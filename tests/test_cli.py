@@ -88,6 +88,17 @@ class TestVerifyCommand:
         _, out2, _ = run_cli(capsys, *args, "--threads", "3")
         assert out1 == out2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["series", "-P", "2", "-H", "0", "--x-max", "100", "--threads", "0"],
+            ["verify", "-P", "2", "-H", "0", "-x", "100", "--tol", "1", "--threads", "-3"],
+        ],
+    )
+    def test_thread_count_below_one_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == "" and "threads" in err
+
 
 class TestSpectrumCommand:
     def test_negative_floor(self, capsys):
@@ -114,6 +125,15 @@ class TestConstructCommand:
             "construct", "-H", "0", "--target", "577/1000", "--eps", "1e-9", "--budget", "3",
         )
         assert code == 3 and "resource cap" in err
+
+    def test_budget_exit_code_with_a_product_past_the_digit_limit(self, capsys):
+        # the product of 7000 factors has more digits than int-to-str allows
+        code, _, err = run_cli(
+            capsys,
+            "construct", "-H", "0", "--target", "1/1000000000", "--eps", "1e-12",
+            "--budget", "7000",
+        )
+        assert code == 3 and "budget of 7000 primes" in err
 
     def test_unattainable_target(self, capsys):
         code, _, err = run_cli(

@@ -1,4 +1,5 @@
 import random
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import multcorr.sieve
 from multcorr import (
     PrimeSet,
     ShiftSet,
@@ -83,12 +85,18 @@ class TestRunningAverage:
         assert [s.x for s in series] == [300, 600, 900, 1050]
 
     def test_small_signed_sums_match_pointwise(self):
+        # With H={0,2} and segment 64 each window spans 62 values of n: stride
+        # 62 samples the last integer of a window, 63 the first of the next, 61
+        # both sides of a boundary, and 200 leaves windows without a sample.
         pset, shifts = PrimeSet([2, 5]), ShiftSet([0, 2])
-        cfg = SieveConfig(x_max=400, sample_stride=50, segment_length=64)
-        series = running_average(pset, shifts, cfg)
-        for sample in series:
-            expected = sum(shifted_sign(pset, shifts, n) for n in range(1, sample.x + 1))
-            assert sample.signed_sum == expected
+        for stride in (50, 61, 62, 63, 200):
+            for threads in (1, 3):
+                cfg = SieveConfig(x_max=400, sample_stride=stride, segment_length=64)
+                series = running_average(pset, shifts, cfg, threads=threads)
+                assert [s.x for s in series] == [*range(stride, 400, stride), 400]
+                for sample in series:
+                    expected = sum(shifted_sign(pset, shifts, n) for n in range(1, sample.x + 1))
+                    assert sample.signed_sum == expected
 
     def test_segment_independence(self):
         pset, shifts = PrimeSet([2, 3]), ShiftSet([0, 4, 6])
@@ -107,6 +115,30 @@ class TestRunningAverage:
         assert running_average(pset, shifts, cfg, threads=4) == running_average(
             pset, shifts, cfg, threads=1
         )
+
+    def test_thread_count_past_the_windows(self, monkeypatch):
+        # Three windows and 64 threads asked for on a 2-CPU machine: the pool
+        # gets 2 workers, and threads=1 sieves in the calling thread.
+        pool_sizes = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(multcorr.sieve, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multcorr.sieve.os, "cpu_count", lambda: 2)
+        pset, shifts = PrimeSet([2, 3, 5]), ShiftSet([0, 1, 2])
+        cfg = SieveConfig(x_max=300, segment_length=102, sample_stride=7)
+        assert running_average(pset, shifts, cfg, threads=64) == running_average(
+            pset, shifts, cfg, threads=1
+        )
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_rejects_thread_count_below_one(self, threads):
+        with pytest.raises(ValueError, match="threads"):
+            running_average(PrimeSet([2]), ShiftSet([0]), SieveConfig(x_max=10), threads=threads)
 
     def test_rejects_segment_below_shift_span(self):
         with pytest.raises(ValueError, match="segment_length"):

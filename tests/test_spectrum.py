@@ -197,8 +197,8 @@ class TestConstruct:
     @pytest.mark.parametrize(
         "target, budget, message",
         [
-            ("577/1000", 3, "target 577/1000 not reached within a budget of 3 primes (current product 2/3)"),
-            ("17/100", 30, "target 17/100 not reached within a budget of 30 primes (current product 14/81)"),
+            ("577/1000", 3, "target 577/1000 not reached within a budget of 3 primes (current product 0.666666666667)"),
+            ("17/100", 30, "target 17/100 not reached within a budget of 30 primes (current product 0.172839506173)"),
         ],
     )
     def test_budget_message_text(self, target, budget, message):
