@@ -4,10 +4,10 @@ Subcommands: density, kappa, verify, spectrum, construct, closure, series.
 Results always carry the exact rational as "num/den" next to a decimal
 rendering (12 significant digits by default), either as plain text or as one
 JSON object per invocation with --json.  Series output is CSV with header
-``x,sum,average`` or JSON records.
+``x,sum,average`` or JSON records, written one sieve window at a time.
 
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
-3 resource cap (prime budget, degree cap).
+3 resource cap (prime budget, degree cap, factoring steps).
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import DEFAULT_SEGMENT_LENGTH, BudgetError, PrimeSet, ShiftSet
 from .density import local_density, local_density_trace
@@ -30,6 +30,9 @@ from .spectrum import (
 )
 
 DEFAULT_DIGITS = 12
+# Significant digits a decimal rendering may ask for; the exact rational is
+# always printed next to it, and far larger precisions exhaust memory.
+MAX_DIGITS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,10 +72,28 @@ def short_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else rational_str(q)
 
 
+def _decimals(nums: Iterable[int], dens: Iterable[int], digits: int) -> Iterator[str]:
+    """Each num/den correctly rounded to `digits` significant digits: the one
+    decimal rendering rule."""
+    divide = Context(prec=digits).divide
+    return map(str, map(divide, map(Decimal, nums), map(Decimal, dens)))
+
+
 def decimal_str(q: Fraction, digits: int = DEFAULT_DIGITS) -> str:
-    with localcontext() as ctx:
-        ctx.prec = digits
-        return str(Decimal(q.numerator) / Decimal(q.denominator))
+    [text] = _decimals([q.numerator], [q.denominator], digits)
+    return text
+
+
+def _digit_count(text: str) -> int:
+    try:
+        digits = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: '{text}'") from None
+    if not 1 <= digits <= MAX_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"must be from 1 to MAX_DIGITS = {MAX_DIGITS}, got {digits}"
+        )
+    return digits
 
 
 def _value_fields(q: Fraction, digits: int) -> dict:
@@ -234,8 +255,26 @@ def _cmd_closure(args) -> int:
     return 0
 
 
+# One sample of the series record as json.dumps(..., sort_keys=True) writes it.
+_JSON_SAMPLE = '{{"average": "{}/{}", "decimal": "{}", "sum": {}, "x": {}}}'.format
+# Series rows rendered per write.
+_ROWS_PER_WRITE = 1 << 16
+
+
+def _pieces(windows):
+    """Each window's samples in slices of at most _ROWS_PER_WRITE.  A window
+    holds up to one sample per integer (--stride 1), and its text takes a few
+    hundred bytes per sample while it is built, so one write per window would
+    hold hundreds of MB at the default segment length."""
+    for xs, sums in windows:
+        for i in range(0, len(xs), _ROWS_PER_WRITE):
+            yield xs[i : i + _ROWS_PER_WRITE], sums[i : i + _ROWS_PER_WRITE]
+
+
 def _cmd_series(args) -> int:
-    from .sieve import SieveConfig, running_average
+    import numpy as np
+
+    from .sieve import SieveConfig, series_windows
 
     pset = PrimeSet(_parse_int_list(args.primes, "prime"))
     shifts = ShiftSet(_parse_int_list(args.shifts, "shift"))
@@ -244,26 +283,29 @@ def _cmd_series(args) -> int:
         segment_length=args.segment_length,
         sample_stride=args.stride,
     )
-    series = running_average(pset, shifts, cfg, threads=args.threads)
+    # checks every argument, so a rejected input writes nothing
+    pieces = _pieces(series_windows(pset, shifts, cfg, threads=args.threads))
+    write = sys.stdout.write
     if args.json:
-        record = {
-            "command": "series",
-            "inputs": {"P": list(pset), "H": list(shifts), "x_max": args.x_max},
-            "samples": [
-                {
-                    "x": s.x,
-                    "sum": s.signed_sum,
-                    "average": rational_str(s.average),
-                    "decimal": decimal_str(s.average, args.digits),
-                }
-                for s in series
-            ],
-        }
-        print(json.dumps(record, sort_keys=True))
+        # json.dumps(record, sort_keys=True) of the whole record, with the
+        # samples written piece by piece
+        inputs = {"P": list(pset), "H": list(shifts), "x_max": args.x_max}
+        write(json.dumps({"command": "series", "inputs": inputs}, sort_keys=True)[:-1])
+        write(', "samples": [')
+        sep = ""
+        for xs, sums in pieces:
+            g = np.gcd(sums, xs)
+            x, s = xs.tolist(), sums.tolist()
+            decimals = _decimals(s, x, args.digits)
+            nums, dens = (sums // g).tolist(), (xs // g).tolist()
+            write(sep + ", ".join(map(_JSON_SAMPLE, nums, dens, decimals, s, x)))
+            sep = ", "
+        write("]}\n")
     else:
-        print("x,sum,average")
-        for s in series:
-            print(f"{s.x},{s.signed_sum},{decimal_str(s.average, args.digits)}")
+        write("x,sum,average\n")
+        for xs, sums in pieces:
+            x, s = xs.tolist(), sums.tolist()
+            write("".join(map("{},{},{}\n".format, x, s, _decimals(s, x, args.digits))))
     return 0
 
 
@@ -273,7 +315,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit one JSON object")
-        p.add_argument("--digits", type=int, default=DEFAULT_DIGITS, help="decimal digits")
+        p.add_argument(
+            "--digits",
+            type=_digit_count,
+            default=DEFAULT_DIGITS,
+            help=f"decimal digits (1 to {MAX_DIGITS})",
+        )
 
     p = sub.add_parser("density", help="exact local density at one prime")
     p.add_argument("-p", "--prime", type=int, required=True)

@@ -38,7 +38,8 @@ _BASE_CAP = 1 << 20
 
 
 class BudgetError(RuntimeError):
-    """A configured resource cap was exceeded (prime budget, degree cap)."""
+    """A configured resource cap was exceeded (prime budget, degree cap,
+    factoring steps)."""
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -287,12 +288,30 @@ def shifted_sign(pset: PrimeSet, shifts: ShiftSet, n: int) -> int:
 
 _TRIAL_PRIMES = (2, *_odd_primes_upto(1 << 10))
 
+# Pollard-Brent steps (iterations of y -> y^2 + c) allowed per cofactor.  A
+# composite below 2**64 has a prime factor p < 2**32, which the walk modulo p
+# finds after about sqrt(pi * p / 2) ~ 82000 steps.  Within the cap its tail
+# plus period may reach 2**20; for a random walk the chance of a longer one
+# is about exp(-2**40 / (2 * p)) < exp(-128).  Larger cofactors may need far
+# more steps, and raise BudgetError instead.
+POLLARD_STEPS = 1 << 22
+
 
 def _pollard_brent(n: int) -> int:
-    """A proper factor of an odd composite n without small factors (Brent 1980)."""
+    """A proper factor of an odd composite n without small factors (Brent 1980).
+
+    Raises BudgetError before a round that could take the steps spent on n
+    past POLLARD_STEPS."""
+    steps = 0
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
+            if steps + 2 * r > POLLARD_STEPS:
+                raise BudgetError(
+                    f"factoring a {n.bit_length()}-bit cofactor of a shift difference "
+                    f"took the cap of POLLARD_STEPS = {POLLARD_STEPS} Pollard-Brent steps"
+                )
+            steps += 2 * r  # r steps to move x, at most r more to compare
             x = y
             for _ in range(r):
                 y = (y * y + c) % n

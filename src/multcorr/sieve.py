@@ -12,17 +12,20 @@ Averages are exact: each sample is the integer sum of +-1 terms paired with
 its x, and decimal rendering is left to the output boundary.  Windows are
 independent work units, so disjoint segments may be sieved concurrently and
 merged in index order without changing a single bit of the result.
+`series_windows` yields each window's samples as int64 arrays as soon as the
+window is sieved, so a caller that streams them holds memory proportional to
+the segment length, not to the sample count; `running_average` collects
+them into a `SignSeries` for library callers.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from typing import Iterator
 
 import numpy as np
 
@@ -128,23 +131,38 @@ def shifted_parities(pset: PrimeSet, shifts: ShiftSet, lo: int, hi: int) -> np.n
     return out
 
 
-def running_average(
+def series_windows(
     pset: PrimeSet,
     shifts: ShiftSet,
     cfg: SieveConfig,
     threads: int = 1,
-) -> SignSeries:
-    """Exact partial averages of the shifted product at every sample point.
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Exact signed sums of the shifted product, one sieve window at a time.
 
     Sieves [1, x_max + max(H)] once in windows of segment_length - max(H)
-    values of n; the signed sum at x is x - 2 * #{n <= x : shifted product
-    = -1}.  Each window [start, end) returns its sample positions and the
-    running count of -1 signs from start to each of them and to the window's
-    end, so the last count covers the whole window; one loop adds the count
-    carried from earlier windows.  With threads = 1 the windows are sieved
-    one after another in the calling thread; with more, by a pool of
-    min(threads, CPU count) workers and merged in order, which cannot change
-    any output value.
+    values of n.  For each window [start, end) that holds a sample point it
+    yields, in order, two int64 arrays: the sample points x in the window
+    (the multiples of the stride below x_max, then x_max itself in the last
+    window) and the signed sum over n <= x of the shifted product at each.
+
+    Window protocol: a window counts the -1 signs in its parity array with
+    one count_nonzero up to its first sample, one buffered int64 sum per
+    stride-long block between consecutive samples (never an int64 copy of
+    the window), and one count_nonzero over the whole window, the count
+    carried into the next window.  The sum at x is (x - n) - n for n such
+    signs up to x, which cannot overflow below MAX_INPUT.  Every window is
+    checked to continue a strictly increasing series with |sum| <= x and
+    sum = x mod 2.
+
+    Memory depends on the segment length, not on the sample count: a window
+    holds its parities and at most one sample per integer.  With threads = 1
+    each window is sieved in the calling thread once the previous one has
+    been consumed; with more, a pool of min(threads, CPU count) workers
+    sieves at most one window per worker ahead of the consumer.  Neither can
+    change any output value.
+
+    Every argument is checked before the generator is returned, so a
+    rejected call raises before anything is sieved.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -156,26 +174,77 @@ def running_average(
     if cfg.x_max + maxh > MAX_INPUT:
         raise ValueError(f"x_max {cfg.x_max} plus max shift exceeds the input width")
 
-    stride = cfg.sample_stride or cfg.x_max
-    sample_xs = [*range(stride, cfg.x_max, stride), cfg.x_max]
+    x_max = cfg.x_max
+    stride = cfg.sample_stride or x_max
     step = cfg.segment_length - maxh
 
-    def window(start: int) -> tuple[list[int], list[int]]:
-        end = min(start + step, cfg.x_max + 1)
+    def window(start: int) -> tuple[np.ndarray, np.ndarray, int]:
+        end = min(start + step, x_max + 1)
         lam = shifted_parities(pset, shifts, start, end)
-        xs = sample_xs[bisect_left(sample_xs, start) : bisect_left(sample_xs, end)]
-        cuts = [x + 1 - start for x in xs] + [end - start]
-        parts = (int(np.count_nonzero(lam[a:b])) for a, b in zip([0, *cuts], cuts))
-        return xs, list(accumulate(parts))
+        first = (start + stride - 1) // stride * stride
+        xs = np.arange(first, min(end, x_max), stride, dtype=np.int64)
+        counts = np.empty(len(xs), dtype=np.int64)
+        if len(xs):
+            c0 = first - start + 1
+            counts[0] = np.count_nonzero(lam[:c0])
+            blocks = lam[c0 : c0 + (len(xs) - 1) * stride].reshape(-1, stride)
+            blocks.sum(axis=1, dtype=np.int64, out=counts[1:])
+            np.cumsum(counts, out=counts)
+        total = np.count_nonzero(lam)
+        if end > x_max:
+            xs, counts = np.append(xs, x_max), np.append(counts, total)
+        return xs, counts, total
 
+    def merged(results) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        negatives = last = 0
+        for xs, counts, total in results:
+            if len(xs):
+                counts += negatives
+                sums = (xs - counts) - counts
+                if (
+                    xs[0] <= last
+                    or np.any(xs[1:] <= xs[:-1])
+                    or np.any(np.abs(sums) > xs)
+                    or np.any((sums ^ xs) & 1)
+                ):
+                    raise ValueError(f"impossible signed sums in the window ending at x={xs[-1]}")
+                last = xs[-1]
+                yield xs, sums
+            negatives += total
+
+    starts = range(1, x_max + 1, step)
     workers = min(threads, os.cpu_count() or 1)
-    samples: list[SeriesSample] = []
-    negatives = 0
-    with ThreadPoolExecutor(workers) if workers > 1 else nullcontext() as pool:
-        for xs, counts in (pool.map if pool else map)(window, range(1, cfg.x_max + 1, step)):
-            samples += (SeriesSample(x, x - 2 * (negatives + c)) for x, c in zip(xs, counts))
-            negatives += counts[-1]
-    return SignSeries(tuple(samples))
+    return merged(map(window, starts) if workers == 1 else _pooled(window, starts, workers))
+
+
+def _pooled(fn, items, workers: int) -> Iterator:
+    """fn over items on a pool of `workers` threads, in order, with at most
+    one result per worker waiting for the consumer."""
+    with ThreadPoolExecutor(workers) as pool:
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+
+def running_average(
+    pset: PrimeSet,
+    shifts: ShiftSet,
+    cfg: SieveConfig,
+    threads: int = 1,
+) -> SignSeries:
+    """Exact partial averages of the shifted product at every sample point:
+    the windows of `series_windows`, materialised as one SignSeries."""
+    return SignSeries(
+        tuple(
+            SeriesSample(x, s)
+            for xs, sums in series_windows(pset, shifts, cfg, threads)
+            for x, s in zip(xs.tolist(), sums.tolist())
+        )
+    )
 
 
 def empirical_density(

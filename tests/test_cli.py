@@ -1,10 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import pytest
 
+import multcorr.cli
+import multcorr.sieve
+from multcorr import PrimeSet, ShiftSet, shifted_sign
 from multcorr.cli import decimal_str, main, rational_str
 from fractions import Fraction
 
@@ -13,6 +20,43 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def old_decimal(q, digits):
+    """The decimal rendering as it was first written, kept as the oracle."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return str(Decimal(q.numerator) / Decimal(q.denominator))
+
+
+def old_series_stdout(primes, shifts, x_max, stride, digits, as_json):
+    """`multcorr series` stdout rendered one sample at a time from pointwise
+    signs: a Fraction and a Decimal per sample, and one json.dumps."""
+    pset, hset = PrimeSet(primes), ShiftSet(shifts)
+    xs = [*range(stride, x_max, stride), x_max] if stride else [x_max]
+    running, sums, sampled = 0, [], set(xs)
+    for n in range(1, x_max + 1):
+        running += shifted_sign(pset, hset, n)
+        if n in sampled:
+            sums.append(running)
+    if as_json:
+        samples = [
+            {
+                "x": x,
+                "sum": s,
+                "average": f"{Fraction(s, x).numerator}/{Fraction(s, x).denominator}",
+                "decimal": old_decimal(Fraction(s, x), digits),
+            }
+            for x, s in zip(xs, sums)
+        ]
+        record = {
+            "command": "series",
+            "inputs": {"P": list(pset), "H": list(hset), "x_max": x_max},
+            "samples": samples,
+        }
+        return json.dumps(record, sort_keys=True) + "\n"
+    rows = (f"{x},{s},{old_decimal(Fraction(s, x), digits)}\n" for x, s in zip(xs, sums))
+    return "x,sum,average\n" + "".join(rows)
 
 
 class TestDensityCommand:
@@ -111,6 +155,15 @@ class TestSpectrumCommand:
         assert code == 0
         assert "alpha=1/3 witness=2 interval=[0,1]" in out
 
+    def test_factoring_cap_exit_code(self, capsys):
+        # the difference is a product of two 20-digit primes, far out of
+        # reach of the Pollard-Brent step cap
+        t0 = time.perf_counter()
+        shifts = "0,300000000000000001940000000000000002091"
+        code, out, err = run_cli(capsys, "spectrum", "-H", shifts)
+        assert code == 3 and out == "" and "POLLARD_STEPS" in err
+        assert time.perf_counter() - t0 < 20
+
 
 class TestConstructCommand:
     def test_round_trip_reported(self, capsys):
@@ -194,6 +247,92 @@ class TestSeriesCommand:
         assert json.dumps(record, sort_keys=True) == out.strip()
         assert [s["x"] for s in record["samples"]] == [1000, 2000, 3000, 4000, 5000]
 
+    # (P, H, x_max, stride); with segment length 64 a window spans 64 - max(H)
+    # values of n: 62 for H={0,2}, so stride 62 samples a window's last
+    # integer and 63 the next window's first; 300 and 301 are equal to and
+    # above x_max, None samples x_max alone.
+    CASES = [
+        ("2,5", "0,2", 400, 62),
+        ("2,5", "0,2", 400, 63),
+        ("3", "0", 500, 7),
+        ("2,3,7", "0,1,5", 300, 1),
+        ("2,3,7", "0,1,5", 300, 300),
+        ("2,3,7", "0,1,5", 300, 301),
+        ("5,11", "0,4", 450, None),
+        ("", "0,9", 200, 13),
+    ]
+
+    @pytest.mark.parametrize("digits", [3, 20])
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("as_json", [False, True])
+    @pytest.mark.parametrize("primes,shifts,x_max,stride", CASES)
+    def test_stdout_matches_old_rendering(
+        self, capsys, primes, shifts, x_max, stride, as_json, threads, digits
+    ):
+        argv = ["series", "-P", primes, "-H", shifts, "--x-max", str(x_max)]
+        argv += ["--segment-length", "64", "--threads", str(threads), "--digits", str(digits)]
+        if stride:
+            argv += ["--stride", str(stride)]
+        if as_json:
+            argv.append("--json")
+        code, out, _ = run_cli(capsys, *argv)
+        want = old_series_stdout(
+            [int(p) for p in primes.split(",") if p],
+            [int(h) for h in shifts.split(",")],
+            x_max, stride, digits, as_json,
+        )
+        assert code == 0 and out == want
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_windows_written_in_pieces_match_old_rendering(self, capsys, monkeypatch, as_json):
+        # windows of 62 samples written 5 rows at a time
+        monkeypatch.setattr(multcorr.cli, "_ROWS_PER_WRITE", 5)
+        argv = ["series", "-P", "2,5", "-H", "0,2", "--x-max", "300", "--stride", "1"]
+        argv += ["--segment-length", "64"] + (["--json"] if as_json else [])
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out == old_series_stdout([2, 5], [0, 2], 300, 1, 12, as_json)
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_each_window_is_written_before_the_next_is_sieved(self, monkeypatch, as_json):
+        # 1000 values of n in windows of 100 with a sample every 10: ten sieve
+        # calls, each made after the rows of every earlier window were written
+        out = io.StringIO()
+        written_before_call = []
+        sieve = multcorr.sieve.shifted_parities
+
+        def recording(*args):
+            text = out.getvalue()
+            rows = text.count('"x": ') if as_json else len(text.splitlines()[1:])
+            written_before_call.append(rows)
+            return sieve(*args)
+
+        monkeypatch.setattr(multcorr.sieve, "shifted_parities", recording)
+        argv = ["series", "-P", "2,3", "-H", "0", "--x-max", "1000", "--stride", "10"]
+        argv += ["--segment-length", "100"] + (["--json"] if as_json else [])
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        assert written_before_call == list(range(0, 100, 10))
+
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["-H", "0", "--x-max", "100", "--threads", "0"], "threads"),
+            (["-H", "0,9", "--x-max", "100", "--segment-length", "9"], "segment_length"),
+            (["-H", "0,9", "--x-max", str(2**63 - 9)], "input width"),
+            (["-H", "0", "--x-max", "100", "--digits", "0"], "--digits"),
+            (["-H", "0", "--x-max", "100", "--digits", "-1"], "--digits"),
+            (["-H", "0", "--x-max", "100", "--digits", str(10**20)], "MAX_DIGITS = 1000"),
+        ],
+    )
+    def test_rejected_input_writes_nothing(self, capsys, argv, message, fmt):
+        try:
+            code = main(["series", "-P", "2", *argv, *fmt])
+        except SystemExit as exc:  # argparse rejects the arguments
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and message in captured.err
+
 
 class TestProtocol:
     def test_json_round_trip_all_commands(self, capsys):
@@ -216,6 +355,31 @@ class TestProtocol:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["density", "-p", "2", "-H", "0,4,6"],
+            ["kappa", "-P", "2", "-H", "0,1"],
+            ["verify", "-P", "2", "-H", "0", "-x", "100", "--tol", "1"],
+            ["spectrum", "-H", "0,1"],
+            ["construct", "-H", "0", "--target", "1/2", "--eps", "1e-2"],
+            ["closure", "-G", "0,1,2"],
+            ["series", "-P", "2", "-H", "0", "--x-max", "100"],
+        ],
+    )
+    def test_digits_checked_before_any_output(self, capsys, argv):
+        for digits, message in [
+            ("0", "--digits"),
+            ("-1", "--digits"),
+            ("999999999999999999", "MAX_DIGITS = 1000"),
+            (str(10**20), "MAX_DIGITS = 1000"),
+        ]:
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--digits", digits])
+            captured = capsys.readouterr()
+            assert exc.value.code == 1 and captured.out == "" and message in captured.err
+        assert main([*argv, "--digits", "1000"]) in (0, 2)
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -258,6 +422,18 @@ class TestRendering:
     def test_rational_str(self):
         assert rational_str(Fraction(0)) == "0/1"
         assert rational_str(Fraction(-385, 1539)) == "-385/1539"
+
+    @pytest.mark.parametrize("digits", [1, 3, 12, 20, 40])
+    def test_decimal_matches_old_rendering(self, digits):
+        # ties, exact quotients, exponent notation and negative values
+        values = [
+            (0, 1), (1, 1), (-1, 1), (1, 8), (-5, 2), (25, 1000), (15, 100), (-35, 1000),
+            (1, 10**9), (-7, 3 * 10**12), (10**30, 7), (123456789, 1000), (-2, 3),
+            (2**70, 3**40),
+        ]
+        for num, den in values:
+            q = Fraction(num, den)
+            assert decimal_str(q, digits) == old_decimal(q, digits)
 
     def test_decimal_agrees_with_rational(self):
         q = Fraction(1, 6)

@@ -195,6 +195,18 @@ class TestExceptionalPrimes:
             assert exceptional_primes(ShiftSet([0, p * q])) == PrimeSet({p, q})
             assert exceptional_primes(ShiftSet([5, 5 + 12 * p * q])) == PrimeSet({2, 3, p, q})
 
+    def test_semiprimes_near_two_to_the_sixty_four_factor_within_the_step_cap(self):
+        # The largest primes below 2**32 make the hardest differences below
+        # 2**64: their smallest prime factor is as large as it can be.
+        rng = random.Random(13)
+        pairs = [(4294967291, 4294967279)]
+        for _ in range(4):
+            starts = (rng.randrange(2**32 - 2**24, 2**32 - 50) for _ in range(2))
+            pairs.append(tuple(next(primes_from(start)) for start in starts))
+        for p, q in pairs:
+            assert p * q < 2**64
+            assert exceptional_primes(ShiftSet([0, p * q])) == PrimeSet({p, q})
+
     def test_sixty_one_bit_difference_is_fast(self):
         t0 = time.perf_counter()
         assert exceptional_primes(ShiftSet([0, 2**61 - 1])) == PrimeSet([2**61 - 1])

@@ -21,6 +21,7 @@ from multcorr import (
     shifted_sign,
     sieve_parities,
 )
+from multcorr.sieve import series_windows
 
 from oracles import omega_oracle, primes_upto
 
@@ -153,6 +154,74 @@ class TestRunningAverage:
     def test_zero_correlation_fluctuation(self):
         series = running_average(PrimeSet([3]), ShiftSet([1, 2]), SieveConfig(x_max=10**5))
         assert abs(series.final.average) < Fraction(5, 100)
+
+
+class TestSeriesWindows:
+    def test_windows_concatenate_to_the_running_average(self):
+        pset, shifts = PrimeSet([2, 3, 5]), ShiftSet([0, 1, 4])
+        for stride in (None, 1, 60, 61, 997, 5000, 5001):
+            for threads in (1, 3):
+                cfg = SieveConfig(x_max=5000, segment_length=65, sample_stride=stride)
+                windows = list(series_windows(pset, shifts, cfg, threads))
+                assert all(xs.dtype == sums.dtype == np.int64 and len(xs) for xs, sums in windows)
+                xs = np.concatenate([xs for xs, _ in windows]).tolist()
+                sums = np.concatenate([sums for _, sums in windows]).tolist()
+                series = running_average(pset, shifts, cfg, threads=threads)
+                assert list(zip(xs, sums)) == [(s.x, s.signed_sum) for s in series]
+
+    def test_one_window_sieved_per_window_taken(self, monkeypatch):
+        calls = []
+        sieve = multcorr.sieve.shifted_parities
+
+        def recording(*args):
+            calls.append(args[2:])
+            return sieve(*args)
+
+        monkeypatch.setattr(multcorr.sieve, "shifted_parities", recording)
+        cfg = SieveConfig(x_max=1000, segment_length=100, sample_stride=10)
+        windows = series_windows(PrimeSet([2]), ShiftSet([0]), cfg)
+        assert calls == []
+        xs, _ = next(windows)
+        assert calls == [(1, 101)] and xs.tolist() == list(range(10, 101, 10))
+        assert len(list(windows)) == 9 and len(calls) == 10
+
+    def test_pool_sieves_at_most_one_window_per_worker_ahead(self, monkeypatch):
+        submitted = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args)
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(multcorr.sieve, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multcorr.sieve.os, "cpu_count", lambda: 3)
+        cfg = SieveConfig(x_max=1000, segment_length=100, sample_stride=10)
+        windows = series_windows(PrimeSet([2]), ShiftSet([0]), cfg, threads=3)
+        xs, _ = next(windows)
+        assert len(submitted) == 4 and xs.tolist() == list(range(10, 101, 10))
+        assert len(list(windows)) == 9 and len(submitted) == 10
+
+    def test_impossible_counts_rejected(self, monkeypatch):
+        # a parity array of 3s makes the block sums count three -1 signs per n
+        def threes(pset, shifts, lo, hi):
+            return np.full(hi - lo, 3, dtype=np.uint8)
+
+        monkeypatch.setattr(multcorr.sieve, "shifted_parities", threes)
+        cfg = SieveConfig(x_max=100, sample_stride=10)
+        with pytest.raises(ValueError, match="impossible signed sums"):
+            list(series_windows(PrimeSet([2]), ShiftSet([0]), cfg))
+
+    @pytest.mark.parametrize(
+        "shifts,cfg,threads,match",
+        [
+            ([0], SieveConfig(x_max=10), 0, "threads"),
+            ([0, 100], SieveConfig(x_max=10, segment_length=50), 1, "segment_length"),
+            ([0, 9], SieveConfig(x_max=2**63 - 5), 1, "width"),
+        ],
+    )
+    def test_arguments_checked_before_the_generator_is_returned(self, shifts, cfg, threads, match):
+        with pytest.raises(ValueError, match=match):
+            series_windows(PrimeSet([2]), ShiftSet(shifts), cfg, threads)
 
 
 class TestEmpiricalDensity:
