@@ -7,7 +7,7 @@ JSON object per invocation with --json.  Series output is CSV with header
 ``x,sum,average`` or JSON records, written one sieve window at a time.
 
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
-3 resource cap (prime budget, degree cap, factoring steps).
+3 resource cap (prime budget, degree cap, factoring steps, window length).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from decimal import Context, Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, localcontext
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -63,13 +63,48 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise ValueError(f"invalid {what} token '{text}'") from None
 
 
+# Integers longer than this many bits (about 3000 digits) are written out by
+# `_int_str`'s divide and conquer: the builtin str refuses past 4300 digits
+# and is quadratic below that.
+_STR_BITS = 10_000
+
+
+def _int_str(n: int) -> str:
+    """Decimal digits of n at any size, without raising the int-to-str limit.
+
+    Splits n in two halves of bits and joins them as hi * 2**w + lo in exact
+    `decimal` arithmetic, whose products are subquadratic, with the powers of
+    two memoised (the method of CPython 3.12's Lib/_pylong.py).
+    """
+    if n.bit_length() <= _STR_BITS:
+        return str(n)
+    two = Decimal(2)
+    powers: dict[int, Decimal] = {}
+
+    def power(w: int) -> Decimal:
+        if w not in powers:
+            powers[w] = two**w if w <= _STR_BITS else power(w >> 1) * power(w - (w >> 1))
+        return powers[w]
+
+    def inner(n: int, w: int) -> Decimal:
+        if w <= _STR_BITS:
+            return Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return inner(n - (hi << half), half) + inner(hi, w - half) * power(half)
+
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])):
+        digits = inner(abs(n), n.bit_length())
+    return str(digits) if n > 0 else f"-{digits}"
+
+
 def rational_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    return f"{_int_str(q.numerator)}/{_int_str(q.denominator)}"
 
 
 def short_rational(q: Fraction) -> str:
     """Rational without the redundant unit denominator, for compact lines."""
-    return str(q.numerator) if q.denominator == 1 else rational_str(q)
+    return _int_str(q.numerator) if q.denominator == 1 else rational_str(q)
 
 
 def _decimals(nums: Iterable[int], dens: Iterable[int], digits: int) -> Iterator[str]:

@@ -29,6 +29,9 @@ MAX_INPUT = 2**63 - 1
 # Default window length of the parity sieve (`sieve.SieveConfig`); it lives
 # here so that the CLI can build its parser without importing numpy.
 DEFAULT_SEGMENT_LENGTH = 1 << 22
+# Largest window length a sieve run accepts: a window holds one byte per
+# integer, so this caps its array at 64 MiB.
+MAX_SEGMENT_LENGTH = 1 << 26
 
 # `primes_from` sieves segments of this many odd numbers, with base primes up
 # to at most _BASE_CAP; a survivor at or above _BASE_CAP**2 may still have a
@@ -39,7 +42,7 @@ _BASE_CAP = 1 << 20
 
 class BudgetError(RuntimeError):
     """A configured resource cap was exceeded (prime budget, degree cap,
-    factoring steps)."""
+    factoring steps, window length)."""
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

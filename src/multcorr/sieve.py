@@ -4,9 +4,14 @@ The parity of the restricted prime-factor count over a window [a, b) is
 accumulated by flipping one bit at every multiple of every prime power
 p**k < b with p in the configured set -- no per-element factorization, and
 memory stays proportional to the window no matter how far the window sits.
+The smallest prime powers are pre-sieved: their flips repeat with period L,
+the product of those powers (at most _PATTERN_MAX), so one cached period is
+tiled over the window by doubling copies and only the remaining powers are
+flipped one stride at a time.
 The parity of the shifted product at n is the XOR of the window parities at
-n+h over the shifts, taken in one pass since a window always extends max(H)
-past the range of n it serves.
+n+h over the shifts.  A window always extends max(H) past the range of n it
+serves, so the XOR is written back into the window's own array, one block
+at a time in ascending order, and the result is a view of that array.
 
 Averages are exact: each sample is the integer sum of +-1 terms paired with
 its x, and decimal rendering is left to the output boundary.  Windows are
@@ -25,11 +30,12 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
 
-from .core import DEFAULT_SEGMENT_LENGTH, MAX_INPUT, PrimeSet, ShiftSet
+from .core import DEFAULT_SEGMENT_LENGTH, MAX_INPUT, MAX_SEGMENT_LENGTH, BudgetError, PrimeSet, ShiftSet
 
 
 @dataclass(frozen=True)
@@ -37,8 +43,8 @@ class SieveConfig:
     """Window length, range end, and sampling cadence for a sieve run.
 
     `segment_length` must be at least max(H) + 1 for the shift set in use
-    (checked at run time); `sample_stride` of None emits a single sample at
-    x_max.
+    (checked at run time) and at most MAX_SEGMENT_LENGTH (BudgetError);
+    `sample_stride` of None emits a single sample at x_max.
     """
 
     x_max: int
@@ -50,6 +56,11 @@ class SieveConfig:
             raise ValueError(f"x_max must be positive, got {self.x_max}")
         if self.segment_length < 1:
             raise ValueError(f"segment_length must be positive, got {self.segment_length}")
+        if self.segment_length > MAX_SEGMENT_LENGTH:
+            raise BudgetError(
+                f"segment_length {self.segment_length} exceeds the cap of "
+                f"MAX_SEGMENT_LENGTH = {MAX_SEGMENT_LENGTH}"
+            )
         if self.sample_stride is not None and self.sample_stride < 1:
             raise ValueError(f"sample_stride must be positive, got {self.sample_stride}")
 
@@ -92,19 +103,67 @@ class SignSeries:
         return self.samples[-1]
 
 
+# Largest period of the pre-sieved pattern: 64 KiB of parities.
+_PATTERN_MAX = 1 << 16
+# Values of n per block of the in-place shift XOR.
+_XOR_BLOCK = 1 << 16
+
+
+@lru_cache(maxsize=8)
+def _pattern(pset: PrimeSet) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """The parities of the smallest prime powers of pset over one period, and
+    for every prime p its smallest power left to flip.
+
+    The powers are taken in increasing order, p**k only when p**(k-1) was
+    taken and the period L, their product, stays at most _PATTERN_MAX.  Entry
+    r of the pattern is the parity of the taken powers dividing any n = r
+    mod L.  The pattern is read-only, since concurrent windows share it.
+    """
+    powers = []
+    for p in pset:
+        pk = p
+        while pk <= _PATTERN_MAX:
+            powers.append((pk, p))
+            pk *= p
+    period = 1
+    top: dict[int, int] = {}  # p -> its largest power taken
+    for pk, p in sorted(powers):
+        if top.get(p, 1) * p == pk and period * p <= _PATTERN_MAX:
+            top[p] = pk
+            period *= p
+    pattern = np.zeros(period, dtype=np.uint8)
+    for pk, p in powers:
+        if pk <= top.get(p, 0):
+            pattern[::pk] ^= 1
+    pattern.flags.writeable = False
+    return pattern, tuple((p, top.get(p, 1) * p) for p in pset)
+
+
 def sieve_parities(pset: PrimeSet, lo: int, hi: int) -> np.ndarray:
     """Parities of the restricted factor count over [lo, hi), one byte each.
 
-    Entry m - lo is omega(pset, m) mod 2, produced by flipping multiples of
-    every prime power below hi.
+    Entry m - lo is omega(pset, m) mod 2.  The window starts as the cached
+    pattern of the smallest prime powers at phase lo mod L, tiled by
+    doubling copies; every other prime power below hi then flips its
+    multiples.
     """
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi - 1 > MAX_INPUT:
         raise ValueError(f"window end {hi} exceeds the supported input width")
-    bits = np.zeros(hi - lo, dtype=np.uint8)
-    for p in pset:
-        pk = p
+    pattern, rest = _pattern(pset)
+    m, period = hi - lo, len(pattern)
+    bits = np.empty(m, dtype=np.uint8)
+    phase = lo % period
+    head = min(m, period - phase)
+    bits[:head] = pattern[phase : phase + head]
+    filled = min(m, period)
+    bits[head:filled] = pattern[: filled - head]
+    while filled < m:  # bits[:filled] is whole periods from here on
+        n = min(filled, m - filled)
+        bits[filled : filled + n] = bits[:n]
+        filled += n
+    for p, pk in rest:
         while pk < hi:
             start = ((lo + pk - 1) // pk) * pk
             if start < hi:
@@ -116,8 +175,12 @@ def sieve_parities(pset: PrimeSet, lo: int, hi: int) -> np.ndarray:
 def shifted_parities(pset: PrimeSet, shifts: ShiftSet, lo: int, hi: int) -> np.ndarray:
     """Parities of the shifted product for n in [lo, hi).
 
-    Sieves the window [lo, hi + max(H)) once and XOR-combines the shifted
-    views; entry n - lo is 1 exactly when the shifted product at n is -1.
+    Sieves the window [lo, hi + max(H)) once and XOR-combines its shifted
+    views into the same array, in ascending blocks of _XOR_BLOCK values of
+    n: every read sits at or past the block being written, so nothing is
+    read after it is overwritten.  Entry n - lo is 1 exactly when the
+    shifted product at n is -1.  The result is a view of an array no other
+    call shares.
     """
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
@@ -125,10 +188,16 @@ def shifted_parities(pset: PrimeSet, shifts: ShiftSet, lo: int, hi: int) -> np.n
     if not shifts:
         return np.zeros(m, dtype=np.uint8)
     bits = sieve_parities(pset, lo, hi + shifts.max_shift)
-    out = bits[shifts.shifts[0] : shifts.shifts[0] + m].copy()
-    for h in shifts.shifts[1:]:
-        out ^= bits[h : h + m]
-    return out
+    first, *others = shifts.shifts
+    if not others:
+        return bits[first : first + m]
+    for i in range(0, m, _XOR_BLOCK):
+        j = min(i + _XOR_BLOCK, m)
+        block = bits[i + first : j + first].copy()
+        for h in others:
+            block ^= bits[i + h : j + h]
+        bits[i:j] = block
+    return bits[:m]
 
 
 def series_windows(

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 import time
@@ -11,15 +12,30 @@ import pytest
 
 import multcorr.cli
 import multcorr.sieve
-from multcorr import PrimeSet, ShiftSet, shifted_sign
-from multcorr.cli import decimal_str, main, rational_str
+from multcorr import PrimeSet, ShiftSet, correlation, shifted_sign
+from multcorr.cli import _int_str, decimal_str, main, rational_str, short_rational
+from multcorr.core import MAX_SEGMENT_LENGTH
 from fractions import Fraction
+
+from oracles import primes_upto
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+@contextlib.contextmanager
+def int_str_limit(digits):
+    """Python's int-to-str digit limit set to `digits` (0 lifts it) inside
+    the block only."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def old_decimal(q, digits):
@@ -100,6 +116,15 @@ class TestKappaCommand:
         code, out, _ = run_cli(capsys, "kappa", "-P", "2,3", "-H", "0,1", "--tail-sum", "1/100")
         assert code == 0 and "radius=1/25" in out
 
+    def test_exact_value_past_the_digit_limit(self, capsys):
+        primes = primes_upto(60_000)
+        with int_str_limit(4300):
+            code, out, _ = run_cli(capsys, "kappa", "-P", ",".join(map(str, primes)), "-H", "0,3")
+        exact = correlation(PrimeSet(primes), ShiftSet([0, 3])).value
+        with int_str_limit(0):
+            expected = f"kappa={exact.numerator}/{exact.denominator} "
+        assert code == 0 and out.startswith(expected) and len(expected) > 10_000
+
 
 class TestVerifyCommand:
     def test_passes_within_tolerance(self, capsys):
@@ -142,6 +167,21 @@ class TestVerifyCommand:
     def test_thread_count_below_one_rejected(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == "" and "threads" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-P", "2", "-H", "0", "-x", "100", "--tol", "1"],
+            ["series", "-P", "2", "-H", "0", "--x-max", "100"],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_segment_length_past_the_cap_exits_three(self, capsys, argv, fmt):
+        # x is 100, so even an unchecked window would hold 100 bytes
+        too_long = str(MAX_SEGMENT_LENGTH + 1)
+        code, out, err = run_cli(capsys, *argv, "--segment-length", too_long, *fmt)
+        assert code == 3 and out == ""
+        assert f"segment_length {too_long} exceeds the cap of MAX_SEGMENT_LENGTH = 67108864" in err
 
 
 class TestSpectrumCommand:
@@ -434,6 +474,27 @@ class TestRendering:
         for num, den in values:
             q = Fraction(num, den)
             assert decimal_str(q, digits) == old_decimal(q, digits)
+
+    def test_integers_past_the_digit_limit_match_str(self):
+        # about 10**5 digits, negative values, and powers of ten and of two
+        # around the size where the divide and conquer takes over and the
+        # sizes where it splits
+        rng = random.Random(5)
+        bits = multcorr.cli._STR_BITS
+        values = [rng.getrandbits(332_000), -rng.getrandbits(332_000), 10**100_000]
+        for k in (bits, bits + 1, 2 * bits, 2 * bits + 1, 4 * bits + 3):
+            values += [2**k - 1, 2**k, 2**k + 1, -(2**k)]
+        for k in (3009, 3010, 3011, 6021, 6022, 12042, 12043):
+            values += [10**k - 1, 10**k, 10**k + 1, -(10**k)]
+        for n in values:
+            q = Fraction(n, 7 * n + 1)
+            with int_str_limit(0):
+                expected = str(n)
+                expected_q = f"{q.numerator}/{q.denominator}"
+            with int_str_limit(4300):
+                assert _int_str(n) == expected
+                assert short_rational(Fraction(n)) == expected
+                assert rational_str(q) == expected_q
 
     def test_decimal_agrees_with_rational(self):
         q = Fraction(1, 6)

@@ -1,4 +1,5 @@
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -24,6 +25,29 @@ from multcorr import (
 from multcorr.sieve import series_windows
 
 from oracles import omega_oracle, primes_upto
+
+
+def strided_parities(pset, lo, hi):
+    """The sieve as first written, kept as the oracle: every prime power below
+    hi flips its multiples in a zeroed window, one stride each."""
+    bits = np.zeros(hi - lo, dtype=np.uint8)
+    for p in pset:
+        pk = p
+        while pk < hi:
+            start = (lo + pk - 1) // pk * pk
+            if start < hi:
+                bits[start - lo :: pk] ^= 1
+            pk *= p
+    return bits
+
+
+def copied_shifted_parities(pset, shifts, lo, hi):
+    """Shifted parities XORed into a copy of the oracle window."""
+    bits = strided_parities(pset, lo, hi + shifts.max_shift)
+    out = np.zeros(hi - lo, dtype=np.uint8)
+    for h in shifts:
+        out ^= bits[h : h + hi - lo]
+    return out
 
 
 def test_parities_single_prime_window():
@@ -52,6 +76,82 @@ def test_parities_match_pointwise_at_random_offsets():
     for _ in range(1000):
         n = rng.randrange(lo, hi)
         assert bits[n - lo] == omega_oracle(pset, n) % 2
+
+
+class TestPresievedPattern:
+    def test_primes_below_ten_thousand_tile_the_smallest_powers(self):
+        pattern, rest = multcorr.sieve._pattern(PrimeSet(primes_upto(10**4)))
+        assert len(pattern) == 16 * 9 * 5 * 7 * 11
+        assert dict(rest)[2] == 32 and dict(rest)[11] == 121 and dict(rest)[13] == 13
+        assert not pattern.flags.writeable
+
+    def test_matches_the_strided_sieve(self):
+        # random P from the primes below 200, windows shorter than, as long
+        # as and longer than the period, on and off a period boundary
+        rng = random.Random(10)
+        small = primes_upto(200)
+        for _ in range(60):
+            pset = PrimeSet(rng.sample(small, rng.randint(1, 12)))
+            period = len(multcorr.sieve._pattern(pset)[0])
+            lo = rng.choice([1, period, 2 * period, rng.randrange(1, 2**40 + 4), 2**40 + 3])
+            if rng.random() < 0.5:
+                lo = lo // period * period or period  # a period boundary
+            for m in (1, period - 1, period, period + 1, 2 * period + 7, rng.randrange(1, 5000)):
+                hi = lo + m
+                assert np.array_equal(sieve_parities(pset, lo, hi), strided_parities(pset, lo, hi))
+
+    @pytest.mark.parametrize(
+        "primes,anchors",
+        [
+            ([], [10**6]),
+            ([65537], [65537, 7 * 65537]),  # period 1
+            ([2, 65537], [65536, 65537, 3 * 65537]),
+            ([3, 1048583], [1048583, 2 * 1048583]),
+            ([2], [2**16, 2**17, 3 * 2**17, 5 * 2**16]),  # 2**16 tiled, 2**17 flipped
+        ],
+    )
+    def test_matches_pointwise_across_the_uncovered_powers(self, primes, anchors):
+        pset = PrimeSet(primes)
+        for anchor in anchors:
+            lo, hi = anchor - 150, anchor + 150
+            bits = sieve_parities(pset, lo, hi)
+            assert bits.tolist() == [omega_oracle(pset, n) % 2 for n in range(lo, hi)]
+
+    def test_shifted_parities_across_xor_blocks(self):
+        block = multcorr.sieve._XOR_BLOCK
+        pset = PrimeSet([2, 3, 5, 7, 13, 101])
+        for shifts in ([0, 1], [0, 1, 5], [2, 3, 40], [3, 200]):
+            hset = ShiftSet(shifts)
+            for lo, m in ((1, 3 * block + 5), (10**9 + 7, block), (999, block - 1), (5, 17)):
+                got = shifted_parities(pset, hset, lo, lo + m)
+                assert np.array_equal(got, copied_shifted_parities(pset, hset, lo, lo + m))
+
+    def test_shared_patterns_under_concurrent_windows(self):
+        # more prime sets than the cache holds, sieved by more threads than
+        # cores with a short switch interval: a pattern evicted or built by
+        # one thread while another reads it must not change any window
+        rng = random.Random(11)
+        psets = [PrimeSet(rng.sample(primes_upto(60), 4)) for _ in range(12)]
+        jobs = [(psets[i % 12], rng.randrange(1, 10**9)) for i in range(96)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(lambda job: sieve_parities(job[0], job[1], job[1] + 3000), jobs))
+        finally:
+            sys.setswitchinterval(interval)
+        for (pset, lo), bits in zip(jobs, got):
+            assert np.array_equal(bits, strided_parities(pset, lo, lo + 3000))
+
+    @pytest.mark.parametrize("shifts", [[4], [0, 1, 7]])
+    def test_consecutive_results_do_not_alias(self, shifts):
+        pset, hset = PrimeSet([2, 3]), ShiftSet(shifts)
+        first = shifted_parities(pset, hset, 1, 1001)
+        kept = first.copy()
+        second = shifted_parities(pset, hset, 1, 1001)
+        assert not np.shares_memory(first, second)
+        second ^= 1
+        assert np.array_equal(first, kept)
 
 
 @given(
