@@ -21,7 +21,6 @@ from .core import (
 )
 from .density import (
     DensityTrace,
-    closed_form_density,
     local_density,
     local_density_trace,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "primes_from",
     "shifted_sign",
     "DensityTrace",
-    "closed_form_density",
     "local_density",
     "local_density_trace",
     "ClosureFamily",

@@ -154,6 +154,7 @@ def _cmd_density(args) -> int:
     }
     if args.trace:
         trace = local_density_trace(args.prime, shifts).lines()
+        trace.append(f"value = {rational_str(value)}")
         lines = trace + lines
         record["result"]["trace"] = trace
     _emit(record, args.json, lines)

@@ -95,8 +95,8 @@ def primes_from(start: int) -> Iterator[int]:
     A segmented sieve of Eratosthenes over the odd numbers (Bays & Hudson
     1977).  Each segment is crossed off by the odd base primes up to its
     square root; the base table grows by doubling up to _BASE_CAP.  Above
-    _BASE_CAP**2 the survivors are confirmed by `is_prime`, so the same code
-    stays exact past 2**63.
+    _BASE_CAP**2 the survivors are confirmed by `is_prime`, so the output is
+    exact wherever `is_prime` is: for every 64-bit value.
     """
     if start < 2:
         yield 2
@@ -134,6 +134,14 @@ def _check_distinct_sorted(values: tuple[int, ...], what: str) -> None:
             raise ValueError(f"duplicate {what} {a}")
 
 
+def _check_prime(p: int) -> None:
+    """Reject p unless it is a prime of the 64-bit width, where `is_prime` is exact."""
+    if p > MAX_INPUT:
+        raise ValueError(f"prime {p} exceeds the 64-bit input width")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 class PrimeSet:
     """Finite sorted set of verified primes (the -1 support of the sign function).
 
@@ -147,10 +155,7 @@ class PrimeSet:
         ps = tuple(sorted(int(p) for p in primes))
         _check_distinct_sorted(ps, "prime")
         for p in ps:
-            if p > MAX_INPUT:
-                raise ValueError(f"prime {p} exceeds the 64-bit input width")
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
+            _check_prime(p)
         self.primes = ps
 
     def __iter__(self) -> Iterator[int]:
@@ -252,6 +257,8 @@ class DiffSet:
 
     def divisible_by(self, p: int) -> bool:
         """True when p divides at least one pairwise difference."""
+        if not self.diffs or p > self.diffs[-1]:
+            return False
         return any(d % p == 0 for d in self.diffs)
 
 

@@ -11,10 +11,11 @@ recursion on the shift set:
   for H1 = (H - i)/p, complemented first when |H| is odd, giving value/p or
   (1 - value)/p.  max(H1) < max(H), so this case strictly shrinks the input.
 
-`_step` is the one place that tells the two cases apart; the value
-recursion `_eta` and the structural view `local_density_trace` both call it.
-The density over a prime set, `set_density`, lives in `spectrum` next to the
-correlation product it is derived from.
+`_step` is the one place that tells the two cases apart.  `_eta` is the one
+recursion that computes values; `local_density_trace` walks the same steps
+and records their structure only.  The per-prime factor 1 - 2 * density and
+the density over a prime set, `set_density`, live in `spectrum` next to the
+correlation product they feed.
 
 Results are memoized up to translation: shifting every element of H by a
 constant translates the level set and leaves the density unchanged.
@@ -26,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import BudgetError, ShiftSet, is_prime
+from .core import BudgetError, ShiftSet, _check_prime
 
 # Depth cap is a defensive bound well above what the decreasing-max argument
 # allows; hitting it means an implementation bug, not a hard input.
@@ -88,23 +89,8 @@ def _eta(p: int, shifts: tuple[int, ...], depth: int, cap: int) -> Fraction:
 
 def local_density(p: int, shifts: ShiftSet) -> Fraction:
     """Exact density of the -1 level set at a single prime p."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _check_prime(p)
     return _eta(p, shifts.shifts, 0, _depth_cap(p, shifts.shifts))
-
-
-def closed_form_density(p: int, shifts: ShiftSet) -> Fraction | None:
-    """|H|/(p+1) when p divides no pairwise difference of H, else None.
-
-    When p is non-exceptional the shifts land in distinct residue classes,
-    every class is a singleton, and the split case collapses to the closed
-    form; callers fall through to `local_density` on None.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if shifts.differences().divisible_by(p):
-        return None
-    return Fraction(len(shifts), p + 1)
 
 
 @dataclass(frozen=True)
@@ -113,7 +99,7 @@ class DensityTrace:
 
     `kind` is one of "empty", "singleton", "split", "rescale".  A rescale
     node records the shared residue and whether the odd-size complement was
-    taken.  `replay` recomputes the value from the recorded structure alone.
+    taken.  The tree holds structure only: the value is `local_density`'s.
     """
 
     kind: str
@@ -122,17 +108,6 @@ class DensityTrace:
     children: tuple["DensityTrace", ...] = ()
     residue: int = 0
     complemented: bool = False
-
-    def replay(self) -> Fraction:
-        p = self.prime
-        if self.kind == "empty":
-            return Fraction(0)
-        if self.kind == "singleton":
-            return Fraction(1, p + 1)
-        if self.kind == "split":
-            return sum((c.replay() for c in self.children), Fraction(0))
-        sub = self.children[0].replay()
-        return (1 - sub) / p if self.complemented else sub / p
 
     def lines(self, depth: int = 0) -> list[str]:
         pad = "  " * depth
@@ -153,16 +128,12 @@ class DensityTrace:
             out = [f"{pad}rescale {hs}: residue {self.residue}, inner {inner}, {op}"]
         for c in self.children:
             out.extend(c.lines(depth + 1))
-        if depth == 0:
-            value = self.replay()
-            out.append(f"value = {value.numerator}/{value.denominator}")
         return out
 
 
 def local_density_trace(p: int, shifts: ShiftSet) -> DensityTrace:
-    """Recursion tree for `local_density(p, shifts)`; replays to the value."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    """Recursion tree for `local_density(p, shifts)`, one node per step."""
+    _check_prime(p)
 
     def walk(hs: tuple[int, ...], depth: int, cap: int) -> DensityTrace:
         if not hs:

@@ -103,6 +103,9 @@ class SignSeries:
         return self.samples[-1]
 
 
+# Most samples `running_average` materialises, at about 160 bytes each;
+# longer series stream from `series_windows`.
+MAX_SAMPLES = 1 << 22
 # Largest period of the pre-sieved pattern: 64 KiB of parities.
 _PATTERN_MAX = 1 << 16
 # Values of n per block of the in-place shift XOR.
@@ -306,7 +309,11 @@ def running_average(
     threads: int = 1,
 ) -> SignSeries:
     """Exact partial averages of the shifted product at every sample point:
-    the windows of `series_windows`, materialised as one SignSeries."""
+    the windows of `series_windows`, materialised as one SignSeries of at
+    most MAX_SAMPLES samples (BudgetError before anything is sieved)."""
+    samples = (cfg.x_max - 1) // (cfg.sample_stride or cfg.x_max) + 1
+    if samples > MAX_SAMPLES:
+        raise BudgetError(f"{samples} samples exceed the cap of MAX_SAMPLES = {MAX_SAMPLES}")
     return SignSeries(
         tuple(
             SeriesSample(x, s)

@@ -1,13 +1,13 @@
 """Correlation products over prime sets and the spectrum of attainable values.
 
 The limiting average of a shifted sign product over a prime set P factors as
-the product over p in P of (1 - 2 * local density at p).  This module builds
-that product exactly, the one fold of per-prime factors, and derives from it
-the density of the -1 level set over P as (1 - product)/2 (`set_density`).
-It brackets the value of a truncated infinite set with the tail bound
-2*|H|*sum(1/(p+1)), locates the infimum of the single-prime factors together
-with its witness prime, and constructs prime sets hitting a requested target
-value by a greedy scan.
+the product over p in P of (1 - 2 * local density at p).  `_factor` is the
+one per-prime factor, in closed form for a prime above the span of H, and
+`correlation` is the one fold of the factors; `set_density` derives from it
+the density of the -1 level set over P as (1 - product)/2.  The module also
+brackets a truncated infinite set with the tail bound 2*|H|*sum(1/(p+1)),
+locates the infimum of the single-prime factors with its witness prime, and
+constructs prime sets hitting a target value by a greedy scan.
 """
 
 from __future__ import annotations
@@ -59,9 +59,20 @@ class SpectrumDescription:
     hi: Fraction
 
 
+def _factor(p: int, shifts: ShiftSet) -> tuple[int, int]:
+    """Numerator and positive denominator of 1 - 2 * local_density(p, shifts).
+    A prime above max(H) - min(H) divides no difference: its shifts are all
+    singleton classes, and it skips the recursion for 1 - 2|H|/(p+1)."""
+    hs = shifts.shifts
+    if len(hs) < 2 or p > hs[-1] - hs[0]:
+        return p + 1 - 2 * len(hs), p + 1
+    eta = local_density(p, shifts)
+    return eta.denominator - 2 * eta.numerator, eta.denominator
+
+
 def correlation(pset: PrimeSet, shifts: ShiftSet) -> Correlation:
     """Exact product over p in pset of (1 - 2 * local density at p)."""
-    factors = tuple((p, 1 - 2 * local_density(p, shifts)) for p in pset)
+    factors = tuple((p, Fraction(*_factor(p, shifts))) for p in pset)
     value = Fraction(1)
     for _, f in factors:
         value *= f
@@ -89,11 +100,6 @@ def truncated_correlation(
     return CorrelationInterval(center, 2 * len(shifts) * tail)
 
 
-def _smallest_non_exceptional(exceptional: PrimeSet) -> int:
-    excluded = set(exceptional)
-    return next(p for p in primes_from(1) if p not in excluded)
-
-
 def describe_spectrum(shifts: ShiftSet) -> SpectrumDescription:
     """Floor and witness of the per-prime factors, and the attainable interval.
 
@@ -105,16 +111,15 @@ def describe_spectrum(shifts: ShiftSet) -> SpectrumDescription:
     if not shifts:
         raise ValueError("spectrum needs a non-empty shift set")
     exceptional = exceptional_primes(shifts)
-    candidates = [(p, 1 - 2 * local_density(p, shifts)) for p in exceptional]
-    q = _smallest_non_exceptional(exceptional)
-    candidates.append((q, 1 - Fraction(2 * len(shifts), q + 1)))
+    excluded = set(exceptional)
+    q = next(p for p in primes_from(1) if p not in excluded)
+    candidates = [(p, Fraction(*_factor(p, shifts))) for p in (*exceptional, q)]
     floor = min(f for _, f in candidates)
     witness = min(p for p, f in candidates if f == floor)
     return SpectrumDescription(floor, witness, min(floor, Fraction(0)), Fraction(1))
 
 
 def _greedy(
-    d: int,
     target: Fraction,
     eps: Fraction,
     floor: int,
@@ -148,7 +153,7 @@ def _greedy(
         p = next(gen)
         if p in avoid or diffs.divisible_by(p):
             continue
-        fn, fd = p + 1 - 2 * d, p + 1  # the factor 1 - 2d/(p+1)
+        fn, fd = _factor(p, shifts)
         if fn <= 0:
             continue
         if num * fn * td >= tn * den * fd:
@@ -186,12 +191,10 @@ def construct_prime_set(
             f"target {target} outside the attainable interval ({desc.lo}, 1]"
         )
     if floor is None:
-        diffs = shifts.differences()
-        floor = max(diffs) if len(diffs) else 0
-    d = len(shifts)
+        floor = shifts.shifts[-1] - shifts.shifts[0]  # the largest difference
     if target >= 0:
-        chosen, _ = _greedy(d, target, eps, floor, frozenset(), budget, shifts)
+        chosen, _ = _greedy(target, eps, floor, frozenset(), budget, shifts)
         return PrimeSet(chosen)
     ratio = target / desc.floor
-    chosen, _ = _greedy(d, ratio, eps, floor, frozenset({desc.witness}), budget, shifts)
+    chosen, _ = _greedy(ratio, eps, floor, frozenset({desc.witness}), budget, shifts)
     return PrimeSet(chosen + [desc.witness])

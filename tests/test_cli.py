@@ -98,6 +98,11 @@ class TestDensityCommand:
         code, _, err = run_cli(capsys, "density", "-p", "4", "-H", "0")
         assert code == 1 and "not prime" in err
 
+    def test_pseudoprime_past_the_input_width_rejected(self, capsys):
+        # 1287836182261 * 2575672364521 passes Miller-Rabin to bases 2..37
+        code, out, err = run_cli(capsys, "density", "-p", "3317044064679887385961981", "-H", "0,1")
+        assert code == 1 and out == "" and "exceeds the 64-bit input width" in err
+
 
 class TestKappaCommand:
     def test_vanishing(self, capsys):

@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from multcorr import (
     PrimeSet,
     ShiftSet,
-    closed_form_density,
     empirical_density,
     local_density,
     local_density_trace,
     set_density,
 )
+from multcorr.spectrum import _factor
 
 from oracles import primes_upto
 
@@ -42,6 +42,23 @@ def test_rejects_composite_modulus():
         local_density(6, ShiftSet([0]))
 
 
+# 1287836182261 * 2575672364521: a strong pseudoprime to every prime base up
+# to 41 (Sorenson & Webster 2015), so Miller-Rabin alone accepts it.
+PSEUDOPRIME = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("compute", [local_density, local_density_trace])
+def test_rejects_a_pseudoprime_past_the_input_width(compute):
+    with pytest.raises(ValueError, match="exceeds the 64-bit input width"):
+        compute(PSEUDOPRIME, ShiftSet([0, 1]))
+
+
+def test_answers_at_the_largest_prime_below_2_63():
+    p = 2**63 - 25
+    assert local_density(p, ShiftSet([0, 1])) == Fraction(2, p + 1)
+    assert local_density_trace(p, ShiftSet([0, 1])).kind == "split"
+
+
 def test_constant_residue_branch_both_parities():
     # all shifts share the residue class, even count: value/p
     assert local_density(2, ShiftSet([0, 2])) == Fraction(1, 3)
@@ -49,20 +66,29 @@ def test_constant_residue_branch_both_parities():
     assert local_density(2, ShiftSet([0, 2, 4])) == Fraction(1, 6)
 
 
-class TestClosedForm:
-    def test_non_exceptional_gives_ratio(self):
-        assert closed_form_density(5, ShiftSet([0, 4, 6])) == Fraction(3, 6)
-        assert closed_form_density(101, ShiftSet([0, 1, 2, 3])) == Fraction(4, 102)
-
-    def test_exceptional_gives_none(self):
-        assert closed_form_density(2, ShiftSet([0, 4, 6])) is None
-        assert closed_form_density(3, ShiftSet([0, 4, 6])) is None
+class TestFactor:
+    """`spectrum._factor`, the per-prime factor 1 - 2 * local density."""
 
     @given(st.sampled_from(primes_upto(97)), shift_sets)
-    def test_agrees_with_recursion(self, p, shifts):
-        fast = closed_form_density(p, shifts)
-        if fast is not None:
-            assert fast == local_density(p, shifts)
+    def test_matches_recursion(self, p, shifts):
+        num, den = _factor(p, shifts)
+        assert den > 0
+        assert Fraction(num, den) == 1 - 2 * local_density(p, shifts)
+
+    def test_exceptional_prime(self):
+        # 2 divides 4 and 6: the recursion gives 1 - 2/6
+        assert Fraction(*_factor(2, ShiftSet([0, 4, 6]))) == Fraction(2, 3)
+
+    def test_non_exceptional_prime_within_the_span(self):
+        # 5 divides no difference of {0,4,6} but is below its span 6
+        assert Fraction(*_factor(5, ShiftSet([0, 4, 6]))) == 0
+
+    def test_prime_above_the_span(self):
+        assert _factor(101, ShiftSet([0, 1, 2, 3])) == (94, 102)
+
+    def test_empty_and_singleton(self):
+        assert Fraction(*_factor(5, ShiftSet())) == 1
+        assert _factor(2, ShiftSet([7])) == (1, 3)
 
 
 @given(st.sampled_from(primes_upto(97)), shift_sets)
@@ -108,25 +134,41 @@ class TestSetDensity:
         assert set_density(PrimeSet(primes), shifts) == eta
 
 
+def replay(trace) -> Fraction:
+    """The density recomputed from a trace's recorded structure alone: an
+    oracle for the value recursion in `density._eta`."""
+    p = trace.prime
+    if trace.kind == "empty":
+        return Fraction(0)
+    if trace.kind == "singleton":
+        return Fraction(1, p + 1)
+    if trace.kind == "split":
+        return sum((replay(c) for c in trace.children), Fraction(0))
+    sub = replay(trace.children[0])
+    return (1 - sub) / p if trace.complemented else sub / p
+
+
 class TestTrace:
     def test_replay_matches_value(self):
         for p, shifts in [(2, (0, 4, 6)), (3, (0, 4, 6)), (5, (1, 2, 3, 9)), (2, (0,))]:
             trace = local_density_trace(p, ShiftSet(shifts))
-            assert trace.replay() == local_density(p, ShiftSet(shifts))
+            assert replay(trace) == local_density(p, ShiftSet(shifts))
 
     def test_worked_example_steps(self):
         trace = local_density_trace(2, ShiftSet([0, 4, 6]))
         assert trace.kind == "rescale"
         assert trace.complemented  # odd-size shift set
         assert trace.children[0].shifts == (0, 2, 3)
-        assert trace.replay() == Fraction(1, 6)
-        text = "\n".join(trace.lines())
-        assert "value = 1/6" in text
+        assert replay(trace) == Fraction(1, 6)
+        # structure only: the CLI appends the value line
+        lines = trace.lines()
+        assert lines[0] == "rescale {0,4,6}: residue 0, inner {0,2,3}, (1 - value)/p"
+        assert lines[-1] == "    singleton {3}: density 1/3"
 
     @given(st.sampled_from(primes_upto(30)), shift_sets)
     @settings(max_examples=30)
     def test_replay_property(self, p, shifts):
-        assert local_density_trace(p, shifts).replay() == local_density(p, shifts)
+        assert replay(local_density_trace(p, shifts)) == local_density(p, shifts)
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import multcorr.sieve
 from multcorr import (
+    BudgetError,
     PrimeSet,
     ShiftSet,
     SieveConfig,
@@ -198,6 +199,23 @@ class TestRunningAverage:
                 for sample in series:
                     expected = sum(shifted_sign(pset, shifts, n) for n in range(1, sample.x + 1))
                     assert sample.signed_sum == expected
+
+    def test_sample_cap_raises_before_sieving(self, monkeypatch):
+        def unsieved(*args, **kwargs):
+            raise AssertionError("sieved past the sample cap")
+
+        monkeypatch.setattr(multcorr.sieve, "series_windows", unsieved)
+        cfg = SieveConfig(x_max=10**12, sample_stride=1)
+        with pytest.raises(BudgetError, match=r"MAX_SAMPLES = 4194304"):
+            running_average(PrimeSet([2]), ShiftSet([0]), cfg)
+
+    def test_sample_cap_boundary(self, monkeypatch):
+        # stride 10 samples x = 10, 20, ..., 100; stride 9 samples 9, ..., 99 and 100
+        monkeypatch.setattr(multcorr.sieve, "MAX_SAMPLES", 10)
+        pset, shifts = PrimeSet([2]), ShiftSet([0])
+        assert len(running_average(pset, shifts, SieveConfig(x_max=100, sample_stride=10))) == 10
+        with pytest.raises(BudgetError, match="12 samples exceed the cap of MAX_SAMPLES = 10"):
+            running_average(pset, shifts, SieveConfig(x_max=100, sample_stride=9))
 
     def test_segment_independence(self):
         pset, shifts = PrimeSet([2, 3]), ShiftSet([0, 4, 6])

@@ -26,9 +26,11 @@ from oracles import primes_upto
 ORACLE_PRIMES = primes_upto(10**6)
 
 
-def fraction_greedy(d, target, eps, floor, avoid, budget, shifts):
-    """The greedy scan on Fraction arithmetic over an independent prime table:
-    the reference the integer greedy must reproduce prime for prime."""
+def fraction_greedy(target, eps, floor, avoid, budget, shifts):
+    """The greedy scan on Fraction arithmetic over an independent prime table,
+    with the closed-form factor of a prime dividing no difference: the
+    reference the integer greedy must reproduce prime for prime."""
+    d = len(shifts)
     diffs = list(shifts.differences())
     current = Fraction(1)
     chosen = []
@@ -207,23 +209,29 @@ class TestConstruct:
         assert str(info.value) == message
 
     def test_integer_greedy_matches_fraction_greedy(self):
+        # Every other case scans from floor 0, so the greedy meets exceptional
+        # primes, which it must skip, and non-exceptional primes below the
+        # span, whose factor comes from the density recursion.
         rng = random.Random(12)
-        negatives = 0
-        for _ in range(16):
+        negatives = below_span = 0
+        for i in range(24):
             shifts = ShiftSet([0] + rng.sample(range(1, 50), rng.randint(0, 2)))
             desc = describe_spectrum(shifts)
             eps = Fraction(1, 10 ** rng.randint(3, 5))
-            floor = max(shifts.differences().diffs, default=0)
-            d = len(shifts)
+            span = max(shifts.differences().diffs, default=0)
+            floor = 0 if i % 2 else span
             if desc.floor < 0:
                 negatives += 1
                 target = desc.floor * Fraction(rng.randint(100, 900), 1000)
-                args = (d, target / desc.floor, eps, floor, frozenset({desc.witness}), 10**5, shifts)
+                args = (target / desc.floor, eps, floor, frozenset({desc.witness}), 10**5, shifts)
             else:
                 target = Fraction(rng.randint(150, 950), 1000)
-                args = (d, target, eps, floor, frozenset(), 10**5, shifts)
-            assert _greedy(*args) == fraction_greedy(*args)
-        assert 4 <= negatives <= 12
+                args = (target, eps, floor, frozenset(), 10**5, shifts)
+            chosen, product = _greedy(*args)
+            assert (chosen, product) == fraction_greedy(*args)
+            below_span += any(p <= span for p in chosen)
+        assert 6 <= negatives <= 18
+        assert below_span >= 6
 
     def test_round_trip_random_targets(self):
         rng = random.Random(4)
