@@ -12,11 +12,15 @@ Usage: python scripts/convergence.py [--x-max 10000000] [--points 8] [--threads 
 import argparse
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from multcorr import PrimeSet, ShiftSet, SieveConfig, correlation, running_average
+import numpy as np
+
+from multcorr import PrimeSet, ShiftSet, correlation
+from multcorr.sieve import SieveConfig, series_windows
 
 CONFIGS = [
     ((2,), (0,)),
@@ -47,14 +51,18 @@ def main() -> int:
         pset, hset = PrimeSet(primes), ShiftSet(shifts)
         exact = correlation(pset, hset).value
         t0 = time.perf_counter()
-        series = running_average(pset, hset, cfg, threads=args.threads)
+        # keep only the grid's samples, one window at a time
+        sums = {}
+        for xs, window_sums in series_windows(pset, hset, cfg, threads=args.threads):
+            on_grid = np.isin(xs, grid)
+            sums.update(zip(xs[on_grid].tolist(), window_sums[on_grid].tolist()))
         print(f"P={set(primes)} H={set(shifts)} exact={exact} "
               f"({time.perf_counter() - t0:.2f}s for x={args.x_max:.0e})")
-        by_x = {sample.x: sample for sample in series}
         for x in grid:
-            gap = abs(by_x[x].average - exact)
-            print(f"  x={x:>12,}  S(x)={float(by_x[x].average):+.9f}  gap={float(gap):.3e}")
-        print(f"  final signed sum at x_max: {series.final.signed_sum:+d}")
+            average = Fraction(sums[x], x)
+            gap = abs(average - exact)
+            print(f"  x={x:>12,}  S(x)={float(average):+.9f}  gap={float(gap):.3e}")
+        print(f"  final signed sum at x_max: {sums[args.x_max]:+d}")
     return 0
 
 

@@ -23,6 +23,7 @@ from .core import DEFAULT_SEGMENT_LENGTH, BudgetError, PrimeSet, ShiftSet
 from .density import local_density, local_density_trace
 from .gf2 import family_from_generators, two_element_member
 from .spectrum import (
+    DEFAULT_PRIME_BUDGET,
     construct_prime_set,
     correlation,
     describe_spectrum,
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--eps", required=True)
     p.add_argument("--floor", type=int, default=None, help="scan primes above this")
-    p.add_argument("--budget", type=int, default=10**6, help="max primes scanned")
+    p.add_argument("--budget", type=int, default=DEFAULT_PRIME_BUDGET, help="max primes scanned")
     common(p)
     p.set_defaults(run=_cmd_construct)
 

@@ -9,8 +9,10 @@ A family of shift sets closed under symmetric difference and translation
 therefore maps onto an ideal.  `family_from_generators` realizes the ideal
 generator as the gcd of the t-power-stripped encodings (so the generator has
 constant term 1), `two_element_member` produces a two-element set {0, D} in
-the closure, certified by checking t**D == 1 modulo the generator, and
-`closure_membership` decides membership by divisibility.
+the closure, and `closure_membership` decides membership by divisibility.
+D = (2**r - 1) * 2**n, with r the lcm of the generator's irreducible factor
+degrees; n is found by squaring t**(2**r - 1) modulo the generator until it
+is 1, so the chain of squarings that finds D also certifies t**D == 1.
 """
 
 from __future__ import annotations
@@ -86,68 +88,26 @@ def _square(a: int) -> int:
     return out
 
 
-def _alternating_mask(nbits: int) -> int:
-    return int.from_bytes(b"\x55" * ((nbits + 7) // 8), "little")
-
-
-def _derivative(a: int) -> int:
-    # d/dt t^i = t^(i-1) for odd i and 0 for even i over this field.
-    if a < 2:
-        return 0
-    return (a >> 1) & _alternating_mask(a.bit_length())
-
-
-def _sqrt(a: int) -> int:
-    # Exact square root of a perfect square: keep the even-position bits.
-    if a == 0:
-        return 0
-    lsb_first = bin(a)[2:][::-1]
-    return int(lsb_first[::2][::-1], 2)
-
-
-def _squarefree_part(a: int) -> int:
-    """Product of the distinct irreducible factors of a nonzero polynomial."""
-    if _degree(a) <= 0:
-        return 1
-    d = _gcd(a, _derivative(a))
-    w = _div(a, d)  # one copy of every odd-multiplicity factor
-    rest = d
-    while True:
-        c = _gcd(rest, w)
-        if _degree(c) <= 0:
-            break
-        rest = _div(rest, c)
-    if _degree(rest) <= 0:
-        return w
-    # rest carries the even-multiplicity factors, so it is a perfect square
-    return _mul(w, _squarefree_part(_sqrt(rest)))
-
-
-def _max_multiplicity(a: int, squarefree: int) -> int:
-    m = 0
-    c = a
-    while _degree(c) > 0:
-        c = _div(c, _gcd(c, squarefree))
-        m += 1
-    return m
-
-
-def _factor_degrees(s: int) -> set[int]:
-    """Degrees of the irreducible factors of a squarefree polynomial."""
+def _factor_degrees(f: int) -> set[int]:
+    """Degrees of the distinct irreducible factors of a nonzero polynomial,
+    by distinct-degree factorisation."""
     degs: set[int] = set()
-    rem = s
+    rem = f
     frob = _mod(_T, rem) if _degree(rem) > 0 else 0  # t^(2^d) mod rem as d grows
     d = 0
     while _degree(rem) > 0:
         d += 1
         if 2 * d > _degree(rem):
+            # rem has no factor of degree below d, so it is irreducible
             degs.add(_degree(rem))
             break
         frob = _mod(_square(frob), rem)
         g = _gcd(rem, frob ^ _T)
         if _degree(g) > 0:
             degs.add(d)
-            rem = _div(rem, g)
+            while _degree(g) > 0:  # every power of the degree-d factors
+                rem = _div(rem, g)
+                g = _gcd(rem, g)
             if _degree(rem) == 0:
                 break
             frob = _mod(frob, rem)
@@ -170,6 +130,11 @@ def _pow_t_mod(exponent: int, modulus: int) -> int:
     return result
 
 
+def _check_degree(degree: int) -> None:
+    if degree > DEGREE_CAP:
+        raise BudgetError(f"degree {degree} exceeds the cap {DEGREE_CAP}")
+
+
 class F2Poly:
     """Immutable dense polynomial over the two-element field.
 
@@ -182,10 +147,7 @@ class F2Poly:
     def __init__(self, bits: int):
         if bits < 0:
             raise ValueError("polynomial bits must be non-negative")
-        if bits.bit_length() - 1 > DEGREE_CAP:
-            raise BudgetError(
-                f"degree {bits.bit_length() - 1} exceeds the cap {DEGREE_CAP}"
-            )
+        _check_degree(bits.bit_length() - 1)
         self.bits = bits
 
     @property
@@ -241,21 +203,11 @@ def poly_gcd(a: F2Poly, b: F2Poly) -> F2Poly:
     return F2Poly(_gcd(a.bits, b.bits))
 
 
-def derivative(a: F2Poly) -> F2Poly:
-    return F2Poly(_derivative(a.bits))
-
-
-def squarefree_part(a: F2Poly) -> F2Poly:
-    if a.is_zero:
-        raise ValueError("the zero polynomial has no squarefree part")
-    return F2Poly(_squarefree_part(a.bits))
-
-
 def factor_degrees(a: F2Poly) -> set[int]:
     """Degrees of the distinct irreducible factors of a nonzero polynomial."""
     if a.is_zero:
         raise ValueError("the zero polynomial has no factors")
-    return _factor_degrees(_squarefree_part(a.bits))
+    return _factor_degrees(a.bits)
 
 
 def pow_t_mod(exponent: int, modulus: F2Poly) -> F2Poly:
@@ -276,7 +228,9 @@ class ClosureFamily:
 
 
 def encode(shifts: ShiftSet) -> F2Poly:
-    """Polynomial with one term t**h per shift h; the empty set encodes to 0."""
+    """Polynomial with one term t**h per shift h; the empty set encodes to 0.
+    A shift past DEGREE_CAP raises BudgetError before anything is built."""
+    _check_degree(shifts.max_shift)
     bits = 0
     for h in shifts:
         bits |= 1 << h
@@ -304,11 +258,13 @@ def family_from_generators(sets: Sequence[ShiftSet]) -> ClosureFamily:
 def two_element_member(fam: ClosureFamily) -> ShiftSet:
     """A two-element member {0, D} of the closure.
 
-    D = (2**r - 1) * 2**n with r a common multiple of the irreducible factor
-    degrees of the generator and 2**n at least the maximal factor
-    multiplicity.  The output is certified by reducing t**D modulo the
-    generator and demanding remainder 1; the certificate never trusts the
-    factorization data it was derived from, and a failure raises
+    D = (2**r - 1) * 2**n with r the lcm of the irreducible factor degrees
+    of the generator f.  Every irreducible factor of f divides
+    t**(2**r - 1) - 1 exactly once, and squaring doubles multiplicities, so
+    t**(2**r - 1) mod f is squared until it is 1, counting n: 2**n is then
+    the least power of two at least the largest multiplicity.  That loop is
+    the certificate: it returns only after comparing t**D mod f with 1.  No
+    multiplicity exceeds deg f, so past n = deg(f).bit_length() it raises
     AssertionError (explicitly, so that -O keeps the check).
     """
     f = fam.generator.bits
@@ -317,14 +273,16 @@ def two_element_member(fam: ClosureFamily) -> ShiftSet:
     if _degree(f) == 0:
         # Degenerate full ideal: {0, 1} is certified by 1 dividing t + 1.
         return ShiftSet((0, 1))
-    s = _squarefree_part(f)
-    r = lcm(*_factor_degrees(s))
-    m = _max_multiplicity(f, s)
-    n = (m - 1).bit_length()
-    big_d = ((1 << r) - 1) << n
-    if _pow_t_mod(big_d, f) != 1:
-        raise AssertionError(f"certificate failed: generator does not divide t^{big_d}+1")
-    return ShiftSet((0, big_d))
+    r = lcm(*_factor_degrees(f))
+    max_n = _degree(f).bit_length()
+    x = _pow_t_mod((1 << r) - 1, f)  # t^((2^r - 1) * 2^n) mod f
+    n = 0
+    while x != 1:
+        if n == max_n:
+            raise AssertionError(f"certificate failed: t^((2^{r}-1)*2^n) != 1 for n <= {max_n}")
+        x = _mod(_square(x), f)
+        n += 1
+    return ShiftSet((0, ((1 << r) - 1) << n))
 
 
 def closure_membership(fam: ClosureFamily, shifts: ShiftSet) -> bool:

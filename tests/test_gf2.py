@@ -1,7 +1,12 @@
 import random
+import subprocess
+import sys
+import tracemalloc
+from math import lcm
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multcorr import (
@@ -12,20 +17,42 @@ from multcorr import (
     family_from_generators,
     two_element_member,
 )
-from multcorr.gf2 import (
-    derivative,
-    encode,
-    factor_degrees,
-    poly_gcd,
-    pow_t_mod,
-    squarefree_part,
-)
+from multcorr import gf2
+from multcorr.gf2 import ClosureFamily, encode, factor_degrees, poly_gcd, pow_t_mod
 
 from oracles import poly_divides_oracle, poly_mul_oracle
 
 shift_sets = st.sets(st.integers(0, 40), max_size=6).map(ShiftSet)
 polys = st.integers(0, 2**48 - 1).map(F2Poly)
 nonzero_polys = st.integers(1, 2**48 - 1).map(F2Poly)
+
+
+def _irreducibles(max_degree: int) -> list[int]:
+    """Irreducibles up to max_degree, by trial division with the list oracle."""
+    found: list[int] = []
+    for f in range(2, 1 << (max_degree + 1)):
+        small = (g for g in found if 2 * g.bit_length() <= f.bit_length() + 1)
+        if not any(poly_divides_oracle(g, f) for g in small):
+            found.append(f)
+    return found
+
+
+IRREDUCIBLES = _irreducibles(9)
+# products of distinct irreducibles g_i raised to multiplicities b_i
+factorisations = st.lists(
+    st.tuples(st.sampled_from(IRREDUCIBLES), st.integers(1, 9)),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda gb: gb[0],
+)
+
+
+def _expand(factors) -> int:
+    f = 1
+    for g, b in factors:
+        for _ in range(b):
+            f = poly_mul_oracle(f, g)
+    return f
 
 
 class TestPolyArithmetic:
@@ -57,28 +84,10 @@ class TestPolyArithmetic:
         assert poly_divides_oracle(g.bits, a.bits)
         assert poly_divides_oracle(g.bits, b.bits)
 
-    @given(polys)
-    def test_derivative_of_square_vanishes(self, a):
-        assert derivative(a * a).is_zero
-
 
 class TestSquarefree:
-    @given(nonzero_polys)
-    def test_part_properties(self, f):
-        s = squarefree_part(f)
-        # s divides f, is squarefree, and carries every irreducible factor of f
-        assert poly_divides_oracle(s.bits, f.bits)
-        assert poly_gcd(s, derivative(s)) == F2Poly(1)
-        c = f
-        while True:
-            g = poly_gcd(c, s)
-            if g.degree <= 0:
-                break
-            c = c // g
-        assert c == F2Poly(1)
-
-    def test_square_collapses(self):
-        assert squarefree_part(F2Poly(0b101)) == F2Poly(0b11)  # (1+t)^2
+    """The distinct irreducible factors of a polynomial, whatever their
+    multiplicities."""
 
     @given(nonzero_polys)
     @settings(max_examples=30)
@@ -90,12 +99,36 @@ class TestSquarefree:
             assert degs and all(d >= 1 for d in degs)
             assert sum(degs) <= f.degree
 
+    def test_brute_force_irreducible_counts(self):
+        # Gauss's count of irreducibles of each degree up to 9
+        counts = [sum(g.bit_length() - 1 == d for g in IRREDUCIBLES) for d in range(1, 10)]
+        assert counts == [2, 1, 2, 3, 6, 9, 18, 30, 56]
+
+    @given(factorisations)
+    @settings(max_examples=60, deadline=None)
+    def test_factor_degrees_match_brute_force(self, factors):
+        f = F2Poly(_expand(factors))
+        assert factor_degrees(f) == {g.bit_length() - 1 for g, _ in factors}
+
 
 class TestEncode:
     def test_examples(self):
         assert encode(ShiftSet([0, 1])) == F2Poly(0b11)
         assert encode(ShiftSet()) == F2Poly(0)
         assert encode(ShiftSet([0, 1, 2])) == F2Poly(0b111)
+
+    def test_cap_checked_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="degree 100000000 exceeds the cap 1048576"):
+                encode(ShiftSet([0, 10**8]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_largest_degree_within_cap(self):
+        assert encode(ShiftSet([0, 1 << 20])).degree == 1 << 20
 
     @given(shift_sets, shift_sets)
     def test_symmetric_difference_homomorphism(self, h1, h2):
@@ -162,16 +195,57 @@ class TestTwoElementMember:
         assert two_element_member(fam) == ShiftSet([0, 1])
 
     def test_zero_generator_rejected(self):
-        from multcorr.gf2 import ClosureFamily
-
         with pytest.raises(ValueError):
             two_element_member(ClosureFamily(F2Poly(0), ()))
 
     def test_degenerate_constant_generator(self):
-        from multcorr.gf2 import ClosureFamily
-
         member = two_element_member(ClosureFamily(F2Poly(1), (0,)))
         assert member == ShiftSet([0, 1])
+
+    # a generator has constant term 1, so t is never its factor; (1+t)^3 and
+    # (1+t)^9 reach the loop's bound n = deg(f).bit_length()
+    @given(factorisations.filter(lambda fs: all(g != 0b10 for g, _ in fs)))
+    @example([(0b11, 3)])
+    @example([(0b11, 9)])
+    @settings(max_examples=40, deadline=None)
+    def test_member_matches_brute_force_factorisation(self, factors):
+        # D = (2^r - 1) * 2^n, r the lcm of the degrees, 2^n >= every b_i
+        r = lcm(*(g.bit_length() - 1 for g, _ in factors))
+        n = (max(b for _, b in factors) - 1).bit_length()
+        fam = ClosureFamily(F2Poly(_expand(factors)), (0,))
+        assert two_element_member(fam) == ShiftSet([0, ((1 << r) - 1) << n])
+
+    @pytest.mark.parametrize("degrees", [{1}, {20001}])
+    def test_wrong_factor_degrees_fail_the_certificate(self, monkeypatch, degrees):
+        # 1+t+t^2 is irreducible of degree 2, so t has order 3 modulo it; for
+        # odd r no power 2^n makes (2^r - 1) * 2^n a multiple of 3.  At r =
+        # 20001 the message must not format D's 6000-odd digits.
+        (r,) = degrees
+        monkeypatch.setattr(gf2, "_factor_degrees", lambda f: degrees)
+        fam = family_from_generators([ShiftSet([0, 1, 2])])
+        with pytest.raises(AssertionError, match=rf"certificate failed: t\^\(\(2\^{r}-1\)"):
+            two_element_member(fam)
+
+    def test_certificate_survives_optimize_flag(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "from multcorr import gf2\n"
+            "from multcorr.core import ShiftSet\n"
+            "gf2._factor_degrees = lambda f: {1}\n"
+            "fam = gf2.family_from_generators([ShiftSet([0, 1, 2])])\n"
+            "try:\n"
+            "    gf2.two_element_member(fam)\n"
+            "except AssertionError as e:\n"
+            "    print(e)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("certificate failed"), proc.stdout
 
     def test_random_families_certified(self):
         rng = random.Random(13)
