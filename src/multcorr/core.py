@@ -17,6 +17,7 @@ pay for loading it.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
@@ -46,22 +47,45 @@ class BudgetError(RuntimeError):
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# psi_k (OEIS A014233): the least odd composite that is a strong pseudoprime
+# to each of the first k bases, so those bases decide every n < psi_k.
+_MR_PSI = (
+    2047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+)
 
 
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin primality check, exact for 64-bit inputs."""
+    """Deterministic Miller-Rabin primality check, exact below psi_12 (about
+    3.2e23), so for every 64-bit input.
+
+    After trial division by the bases, n < 41**2 is prime; otherwise only
+    the shortest prefix of the bases that decides n is tried.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in _MR_BASES[: bisect_right(_MR_PSI, n) + 1]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -7,7 +7,13 @@ memory stays proportional to the window no matter how far the window sits.
 The smallest prime powers are pre-sieved: their flips repeat with period L,
 the product of those powers (at most _PATTERN_MAX), so one cached period is
 tiled over the window by doubling copies and only the remaining powers are
-flipped one stride at a time.
+flipped one stride at a time, in three kinds by length.  A power at least
+the window length has at most one multiple in it, so all of those multiples
+are flipped by one scatter instead of one call per power.  Of the others,
+the short powers (below _SHORT_POWER) write most of the flips, a few bytes
+apart: over a whole window those writes would miss the cache, so the window
+is tiled and flipped by them one cache-sized block at a time.  The long
+powers flip once over the whole window.
 The parity of the shifted product at n is the XOR of the window parities at
 n+h over the shifts.  A window always extends max(H) past the range of n it
 serves, so the XOR is written back into the window's own array, one block
@@ -110,6 +116,10 @@ MAX_SAMPLES = 1 << 22
 _PATTERN_MAX = 1 << 16
 # Values of n per block of the in-place shift XOR.
 _XOR_BLOCK = 1 << 16
+# Prime powers below this flip one block of _FLIP_BLOCK values at a time:
+# 1 MiB of parities, which stays in a core's L2 cache while they flip it.
+_SHORT_POWER = 1 << 11
+_FLIP_BLOCK = 1 << 20
 
 
 @lru_cache(maxsize=8)
@@ -145,10 +155,18 @@ def _pattern(pset: PrimeSet) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
 def sieve_parities(pset: PrimeSet, lo: int, hi: int) -> np.ndarray:
     """Parities of the restricted factor count over [lo, hi), one byte each.
 
-    Entry m - lo is omega(pset, m) mod 2.  The window starts as the cached
-    pattern of the smallest prime powers at phase lo mod L, tiled by
-    doubling copies; every other prime power below hi then flips its
-    multiples.
+    Entry i is omega(pset, lo + i) mod 2.  The prime powers the cached
+    pattern leaves over are flipped by length:
+
+    - powers at least the window length have at most one multiple in it,
+      and all of those are flipped by one scatter, which flips an entry
+      twice when two such powers divide the same n;
+    - short powers (the others below _SHORT_POWER) block by block: each
+      block of _FLIP_BLOCK values is tiled from the pattern at its own
+      phase and flipped by every short power while it is still in cache;
+    - long powers (the rest) once over the whole window.
+
+    The result is a fresh array no other call shares.
     """
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
@@ -156,22 +174,29 @@ def sieve_parities(pset: PrimeSet, lo: int, hi: int) -> np.ndarray:
         raise ValueError(f"window end {hi} exceeds the supported input width")
     pattern, rest = _pattern(pset)
     m, period = hi - lo, len(pattern)
-    bits = np.empty(m, dtype=np.uint8)
-    phase = lo % period
-    head = min(m, period - phase)
-    bits[:head] = pattern[phase : phase + head]
-    filled = min(m, period)
-    bits[head:filled] = pattern[: filled - head]
-    while filled < m:  # bits[:filled] is whole periods from here on
-        n = min(filled, m - filled)
-        bits[filled : filled + n] = bits[:n]
-        filled += n
+    short, long, single = [], [], []
     for p, pk in rest:
         while pk < hi:
-            start = ((lo + pk - 1) // pk) * pk
-            if start < hi:
-                bits[start - lo :: pk] ^= 1
+            (single if pk >= m else short if pk < _SHORT_POWER else long).append(pk)
             pk *= p
+    bits = np.empty(m, dtype=np.uint8)
+    for a in range(0, m, _FLIP_BLOCK):
+        blk = bits[a : a + _FLIP_BLOCK]
+        n, phase = len(blk), (lo + a) % period
+        head = min(n, period - phase)
+        blk[:head] = pattern[phase : phase + head]
+        filled = min(n, period)
+        blk[head:filled] = pattern[: filled - head]
+        while filled < n:  # blk[:filled] is whole periods from here on
+            k = min(filled, n - filled)
+            blk[filled : filled + k] = blk[:k]
+            filled += k
+        for pk in short:
+            blk[-(lo + a) % pk :: pk] ^= 1
+    for pk in long:
+        bits[-lo % pk :: pk] ^= 1
+    hits = [r for pk in single if (r := -lo % pk) < m]
+    np.bitwise_xor.at(bits, np.array(hits, dtype=np.intp), 1)
     return bits
 
 

@@ -28,9 +28,56 @@ shift_sets = st.sets(st.integers(0, 20), max_size=4).map(ShiftSet)
 
 
 def test_is_prime_agrees_with_sieve():
-    table = set(primes_upto(2000))
-    for n in range(2000):
-        assert is_prime(n) == (n in table)
+    # every n below 41**2 that survives the trial division by the bases is
+    # prime, and each larger n is decided by the fewest bases that suffice
+    table = set(primes_upto(10**6))
+    assert [n for n in range(10**6) if is_prime.__wrapped__(n)] == sorted(table)
+
+
+# psi_k (OEIS A014233) with a nontrivial factor of each
+PSI = [
+    (2047, 23),
+    (1_373_653, 829),
+    (25_326_001, 2251),
+    (3_215_031_751, 151),
+    (2_152_302_898_747, 6763),
+    (3_474_749_660_383, 1303),
+    (341_550_071_728_321, 10_670_053),
+    (341_550_071_728_321, 10_670_053),
+    (3_825_123_056_546_413_051, 149_491),
+    (3_825_123_056_546_413_051, 149_491),
+    (3_825_123_056_546_413_051, 149_491),
+    (318_665_857_834_031_151_167_461, 399_165_290_221),
+]
+PRIME_BASES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x == 1 or any(pow(x, 2**r, n) == n - 1 for r in range(s))
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_psi_k_fools_the_first_k_bases(k):
+    psi, factor = PSI[k - 1]
+    assert 1 < factor < psi and psi % factor == 0
+    assert all(strong_probable_prime(psi, a) for a in PRIME_BASES[:k])
+    if k < 12:
+        # the bases tried at psi_k include base k + 1, which exposes it
+        assert not is_prime(psi)
+    else:
+        # psi_12 fools all twelve bases: is_prime is exact only below it,
+        # which is past every input the package accepts
+        assert psi > MAX_INPUT
+
+
+def test_is_prime_near_each_psi_k():
+    for psi, _ in PSI:
+        for n in range(psi - 200, psi + 201):
+            assert is_prime(n) == (n > 1 and all(strong_probable_prime(n, a) for a in PRIME_BASES))
 
 
 def test_primes_from_is_strictly_above_start():

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -153,6 +154,57 @@ class TestPresievedPattern:
         assert not np.shares_memory(first, second)
         second ^= 1
         assert np.array_equal(first, kept)
+
+
+class TestFlipBlocks:
+    """Short powers flip one block at a time, long powers once over the
+    window, and powers at least the window length in one scatter."""
+
+    PSET = PrimeSet(primes_upto(10**4))
+
+    def assert_strided(self, lo, m, pset=PSET):
+        assert np.array_equal(sieve_parities(pset, lo, lo + m), strided_parities(pset, lo, lo + m))
+
+    @pytest.mark.parametrize("lo", [1, 9 * 10**7 + 5, 2**40 + 3])
+    def test_windows_across_block_edges(self, lo):
+        block = multcorr.sieve._FLIP_BLOCK
+        for m in (1000, block - 1, block, block + 1, 3 * block + 12345):
+            self.assert_strided(lo, m)
+
+    def test_lo_next_to_a_multiple_of_the_first_power_not_short(self):
+        t = multcorr.sieve._SHORT_POWER
+        assert t & (t - 1) == 0  # a power of 2, so a prime power of PSET
+        for c in (1, 7, 43945):
+            for lo in (c * t - 1, c * t + 1):
+                for m in (t - 1, t, t + 1, multcorr.sieve._FLIP_BLOCK + 3):
+                    self.assert_strided(lo, m)
+
+    @pytest.mark.parametrize("pk", [7919, 3**13, 2**21])
+    def test_window_as_long_as_a_power(self, pk):
+        # the power has one multiple in the window, at its first or last
+        # entry, or two when the window is one longer
+        for c in (1, 45):
+            for lo in (c * pk - 1, c * pk, c * pk + 1):
+                for m in (pk - 1, pk, pk + 1):
+                    self.assert_strided(lo, m)
+
+    def test_two_powers_at_least_the_window_length_divide_one_n(self):
+        m = 64
+        least = max(m, multcorr.sieve._SHORT_POWER)
+        powers = [
+            p**k for p in self.PSET for k in range(1, 42) if least <= p**k < 2 * 10**12
+        ]
+        n = next(n for n in itertools.count(10**12) if sum(n % pk == 0 for pk in powers) >= 2)
+        for lo in (n - m + 1, n - 17, n):
+            self.assert_strided(lo, m)
+            assert sieve_parities(self.PSET, lo, lo + m)[n - lo] == omega_oracle(self.PSET, n) % 2
+
+    def test_two_threads_match_one_across_windows(self):
+        cfg = SieveConfig(x_max=6 * 10**6, segment_length=(1 << 20) + 3, sample_stride=99991)
+        shifts = ShiftSet([0, 1, 6])
+        one = running_average(self.PSET, shifts, cfg, threads=1)
+        assert running_average(self.PSET, shifts, cfg, threads=2) == one
+        assert len(one) == 61
 
 
 @given(
