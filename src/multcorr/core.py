@@ -68,11 +68,13 @@ _MR_PSI = (
 @lru_cache(maxsize=1 << 16)
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality check, exact below psi_12 (about
-    3.2e23), so for every 64-bit input.
+    3.2e23), so for every 64-bit input; raises ValueError from psi_12 on.
 
     After trial division by the bases, n < 41**2 is prime; otherwise only
     the shortest prefix of the bases that decides n is tried.
     """
+    if n >= _MR_PSI[-1]:
+        raise ValueError(f"is_prime is exact only below psi_12 = {_MR_PSI[-1]}")
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -120,7 +122,7 @@ def primes_from(start: int) -> Iterator[int]:
     1977).  Each segment is crossed off by the odd base primes up to its
     square root; the base table grows by doubling up to _BASE_CAP.  Above
     _BASE_CAP**2 the survivors are confirmed by `is_prime`, so the output is
-    exact wherever `is_prime` is: for every 64-bit value.
+    exact for every 64-bit value, and a ValueError ends it at psi_12.
     """
     if start < 2:
         yield 2
@@ -164,6 +166,16 @@ def _check_prime(p: int) -> None:
         raise ValueError(f"prime {p} exceeds the 64-bit input width")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+
+
+def _check_span(shifts: tuple[int, ...]) -> None:
+    """Reject a sorted shift set whose span max(H) - min(H) exceeds MAX_INPUT."""
+    span = shifts[-1] - shifts[0] if shifts else 0
+    if span > MAX_INPUT:
+        raise ValueError(
+            f"shift span of {span.bit_length()} bits exceeds the 64-bit input width "
+            "(MAX_INPUT = 2**63 - 1)"
+        )
 
 
 class PrimeSet:
@@ -382,7 +394,8 @@ def _prime_factors(m: int) -> set[int]:
     pending = [m] if m > 1 else []
     while pending:
         n = pending.pop()
-        if is_prime(n):
+        # past psi_12 is_prime is not exact, and Pollard-Brent meets its cap
+        if n < _MR_PSI[-1] and is_prime(n):
             out.add(n)
         else:
             f = _pollard_brent(n)

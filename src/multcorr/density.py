@@ -17,33 +17,21 @@ and records their structure only.  The per-prime factor 1 - 2 * density and
 the density over a prime set, `set_density`, live in `spectrum` next to the
 correlation product they feed.
 
-Results are memoized up to translation: shifting every element of H by a
-constant translates the level set and leaves the density unchanged.
+`_eta` is one `functools.cache` keyed on (p, H) with H moved so that its
+least shift is 0: translating H translates the level set and leaves the
+density unchanged.  A rescale divides the span max(H) - min(H) by p, and after
+a split each class of two or more shifts shares one residue, so its next step
+is a rescale; the depth is therefore at most 2 * log_p(span) + 2, about 128
+for the spans below 2**63 that `core._check_span` admits.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
-from .core import BudgetError, ShiftSet, _check_prime
-
-# Depth cap is a defensive bound well above what the decreasing-max argument
-# allows; hitting it means an implementation bug, not a hard input.
-_DEPTH_SLACK = 64
-
-_memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-
-
-def _normalize(shifts: tuple[int, ...]) -> tuple[int, ...]:
-    base = shifts[0]
-    return tuple([h - base for h in shifts])
-
-
-def _depth_cap(p: int, shifts: tuple[int, ...]) -> int:
-    top = max(shifts) if shifts else 0
-    return _DEPTH_SLACK * (1 + int(math.log(top + 1, p)))
+from .core import ShiftSet, _check_prime, _check_span
 
 
 def _step(p: int, shifts: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int | None]:
@@ -62,35 +50,30 @@ def _step(p: int, shifts: tuple[int, ...]) -> tuple[list[tuple[int, ...]], int |
     return [tuple([(h - i) // p for h in shifts])], i
 
 
-def _eta(p: int, shifts: tuple[int, ...], depth: int, cap: int) -> Fraction:
-    if not shifts:
-        return Fraction(0)
-    if len(shifts) == 1:
-        return Fraction(1, p + 1)
-    key = (p, _normalize(shifts))
-    cached = _memo.get(key)
-    if cached is not None:
-        return cached
-    if depth > cap:
-        raise BudgetError(f"density recursion exceeded depth cap {cap} at p={p}")
+@cache
+def _eta(p: int, shifts: tuple[int, ...]) -> Fraction:
+    """Density for two or more shifts, moved so that shifts[0] == 0."""
     children, residue = _step(p, shifts)
     if residue is None:
         # Singleton classes each add 1/(p+1): add them in one step.
         multi = [cls for cls in children if len(cls) > 1]
         value = Fraction(len(children) - len(multi), p + 1)
         for cls in multi:
-            value += _eta(p, cls, depth + 1, cap)
-    else:
-        sub = _eta(p, children[0], depth + 1, cap)
-        value = sub / p if len(shifts) % 2 == 0 else (1 - sub) / p
-    _memo[key] = value
-    return value
+            value += _eta(p, tuple([h - cls[0] for h in cls]))
+        return value
+    # shifts[0] == 0, so the residue is 0 and the rescaled set starts at 0
+    sub = _eta(p, children[0])
+    return sub / p if len(shifts) % 2 == 0 else (1 - sub) / p
 
 
 def local_density(p: int, shifts: ShiftSet) -> Fraction:
     """Exact density of the -1 level set at a single prime p."""
     _check_prime(p)
-    return _eta(p, shifts.shifts, 0, _depth_cap(p, shifts.shifts))
+    hs = shifts.shifts
+    _check_span(hs)
+    if len(hs) < 2:
+        return Fraction(len(hs), p + 1)
+    return _eta(p, tuple([h - hs[0] for h in hs]))
 
 
 @dataclass(frozen=True)
@@ -109,8 +92,8 @@ class DensityTrace:
     residue: int = 0
     complemented: bool = False
 
-    def lines(self, depth: int = 0) -> list[str]:
-        pad = "  " * depth
+    def lines(self, indent: int = 0) -> list[str]:
+        pad = "  " * indent
         hs = "{" + ",".join(str(h) for h in self.shifts) + "}"
         p = self.prime
         if self.kind == "empty":
@@ -127,25 +110,24 @@ class DensityTrace:
             op = "(1 - value)/p" if self.complemented else "value/p"
             out = [f"{pad}rescale {hs}: residue {self.residue}, inner {inner}, {op}"]
         for c in self.children:
-            out.extend(c.lines(depth + 1))
+            out.extend(c.lines(indent + 1))
         return out
 
 
 def local_density_trace(p: int, shifts: ShiftSet) -> DensityTrace:
     """Recursion tree for `local_density(p, shifts)`, one node per step."""
     _check_prime(p)
+    _check_span(shifts.shifts)
 
-    def walk(hs: tuple[int, ...], depth: int, cap: int) -> DensityTrace:
+    def walk(hs: tuple[int, ...]) -> DensityTrace:
         if not hs:
             return DensityTrace("empty", p, hs)
         if len(hs) == 1:
             return DensityTrace("singleton", p, hs)
-        if depth > cap:
-            raise BudgetError(f"density recursion exceeded depth cap {cap} at p={p}")
         children, residue = _step(p, hs)
-        kids = tuple(walk(c, depth + 1, cap) for c in children)
+        kids = tuple(walk(c) for c in children)
         if residue is None:
             return DensityTrace("split", p, hs, kids)
         return DensityTrace("rescale", p, hs, kids, residue, len(hs) % 2 == 1)
 
-    return walk(shifts.shifts, 0, _depth_cap(p, shifts.shifts))
+    return walk(shifts.shifts)

@@ -104,6 +104,28 @@ class TestDensityCommand:
         assert code == 1 and out == "" and "exceeds the 64-bit input width" in err
 
 
+SPAN_PAST_64_BITS = str(2**1500)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["density", "-p", "2"],
+        ["density", "-p", "2", "--trace"],
+        ["kappa", "-P", "2"],
+        ["kappa", "-P", "2", "--tail-sum", "1/100"],
+        ["verify", "-P", "2", "-x", "100", "--tol", "1"],
+        ["spectrum"],
+        ["construct", "--target", "1/2", "--eps", "1e-2"],
+    ],
+)
+def test_exact_commands_refuse_a_span_past_64_bits(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "-H", f"0,{SPAN_PAST_64_BITS}")
+    assert code == 1 and out == ""
+    assert "shift span of 1501 bits exceeds the 64-bit input width" in err
+    assert "Traceback" not in err
+
+
 class TestKappaCommand:
     def test_vanishing(self, capsys):
         code, out, _ = run_cli(capsys, "kappa", "-P", "3", "-H", "1,2")

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import multcorr.core as core
 from multcorr import (
     MAX_INPUT,
+    BudgetError,
     PrimeSet,
     ShiftSet,
     exceptional_primes,
@@ -70,14 +72,21 @@ def test_psi_k_fools_the_first_k_bases(k):
         assert not is_prime(psi)
     else:
         # psi_12 fools all twelve bases: is_prime is exact only below it,
-        # which is past every input the package accepts
+        # which is past every input the package accepts, and refuses it
         assert psi > MAX_INPUT
+        with pytest.raises(ValueError, match="exact only below psi_12 = 318665857834031151167461"):
+            is_prime(psi)
 
 
 def test_is_prime_near_each_psi_k():
     for psi, _ in PSI:
         for n in range(psi - 200, psi + 201):
-            assert is_prime(n) == (n > 1 and all(strong_probable_prime(n, a) for a in PRIME_BASES))
+            if n >= PSI[-1][0]:
+                with pytest.raises(ValueError, match="psi_12"):
+                    is_prime(n)
+            else:
+                expected = n > 1 and all(strong_probable_prime(n, a) for a in PRIME_BASES)
+                assert is_prime(n) == expected
 
 
 def test_primes_from_is_strictly_above_start():
@@ -253,6 +262,12 @@ class TestExceptionalPrimes:
         for p, q in pairs:
             assert p * q < 2**64
             assert exceptional_primes(ShiftSet([0, p * q])) == PrimeSet({p, q})
+
+    def test_prime_cofactor_past_psi_12_meets_the_step_cap(self, monkeypatch):
+        # 2**89 - 1 is prime and past psi_12, where is_prime refuses to answer
+        monkeypatch.setattr(core, "POLLARD_STEPS", 1 << 10)
+        with pytest.raises(BudgetError, match="89-bit cofactor"):
+            exceptional_primes(ShiftSet([0, 3 * (2**89 - 1)]))
 
     def test_sixty_one_bit_difference_is_fast(self):
         t0 = time.perf_counter()

@@ -13,6 +13,7 @@ from multcorr import (
     local_density_trace,
     set_density,
 )
+from multcorr.density import _eta
 from multcorr.spectrum import _factor
 
 from oracles import primes_upto
@@ -57,6 +58,41 @@ def test_answers_at_the_largest_prime_below_2_63():
     p = 2**63 - 25
     assert local_density(p, ShiftSet([0, 1])) == Fraction(2, p + 1)
     assert local_density_trace(p, ShiftSet([0, 1])).kind == "split"
+
+
+def traced_density(p, shifts):
+    return replay(local_density_trace(p, shifts))
+
+
+@pytest.mark.parametrize("compute", [local_density, traced_density])
+class TestSpan:
+    """The span max(H) - min(H) is checked against the 64-bit width, not max(H)."""
+
+    def test_rejects_a_span_past_the_input_width(self, compute):
+        with pytest.raises(ValueError, match="1501 bits exceeds the 64-bit input width"):
+            compute(2, ShiftSet([0, 2**1500]))
+        with pytest.raises(ValueError, match="64 bits exceeds the 64-bit input width"):
+            compute(3, ShiftSet([5, 6, 5 + 2**63]))
+
+    def test_answers_up_to_the_input_width(self, compute):
+        assert compute(2, ShiftSet([0, 2**62])) == Fraction(2, 3 * 2**62)
+        assert compute(2, ShiftSet([0, 2**63 - 1])) == Fraction(2, 3)
+
+    def test_large_shifts_with_a_small_span(self, compute):
+        assert compute(2, ShiftSet([2**1500, 2**1500 + 4])) == Fraction(1, 6)
+        assert compute(2, ShiftSet([0, 4])) == Fraction(1, 6)
+
+
+def test_translated_sets_are_cache_hits():
+    _eta.cache_clear()
+    # {0,1,3,4} splits mod 3 into {0,3} and {1,4}, which moved to 0 is {0,3}
+    # again: misses for {0,1,3,4}, {0,3} and its rescale {0,1}, one hit
+    local_density(3, ShiftSet([0, 1, 3, 4]))
+    first = _eta.cache_info()
+    assert (first.hits, first.misses) == (1, 3)
+    local_density(3, ShiftSet([10, 11, 13, 14]))
+    second = _eta.cache_info()
+    assert second.hits > first.hits and second.misses == first.misses
 
 
 def test_constant_residue_branch_both_parities():
