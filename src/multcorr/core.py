@@ -347,7 +347,17 @@ def _pollard_brent(n: int) -> int:
     """A proper factor of an odd composite n without small factors (Brent 1980).
 
     Raises BudgetError before a round that could take the steps spent on n
-    past POLLARD_STEPS."""
+    past POLLARD_STEPS, and at once for n wider than 4 log2(POLLARD_STEPS)
+    bits: the least prime factor p <= sqrt(n) of such an n may need about
+    sqrt(p) ~ n**(1/4) steps, past the cap.  Such an n makes the shift
+    span wider than MAX_INPUT, which every exact command refuses anyway."""
+    width = 4 * (POLLARD_STEPS.bit_length() - 1)
+    if n.bit_length() > width:
+        raise BudgetError(
+            f"factoring a {n.bit_length()}-bit cofactor of a shift difference "
+            f"could take more than the cap of POLLARD_STEPS = {POLLARD_STEPS} "
+            f"Pollard-Brent steps (cofactors past {width} bits are refused)"
+        )
     steps = 0
     for c in range(1, n):
         y, r, q, g = 2, 1, 1, 1

@@ -7,13 +7,17 @@ memory stays proportional to the window no matter how far the window sits.
 The smallest prime powers are pre-sieved: their flips repeat with period L,
 the product of those powers (at most _PATTERN_MAX), so one cached period is
 tiled over the window by doubling copies and only the remaining powers are
-flipped one stride at a time, in three kinds by length.  A power at least
+flipped one stride at a time, in three kinds by length.  Those powers are
+cached with the pattern in increasing order, so a window finds its kinds
+by bisection and never walks the powers it does not flip.  A power at least
 the window length has at most one multiple in it, so all of those multiples
-are flipped by one scatter instead of one call per power.  Of the others,
-the short powers (below _SHORT_POWER) write most of the flips, a few bytes
-apart: over a whole window those writes would miss the cache, so the window
-is tiled and flipped by them one cache-sized block at a time.  The long
-powers flip once over the whole window.
+are flipped by one scatter, a single numpy expression over the cached
+powers.  Of the others, the short powers (below _SHORT_POWER) write most of
+the flips, a few bytes apart: over a whole window those writes would miss
+the cache, so the window is tiled and flipped by them one cache-sized block
+at a time.  The long powers flip once over the whole window.  Every entry
+of a window is 0 or 1, so a stride is flipped by np.invert in place on a
+bool view of the window, which is XOR with 1 in one unary call.
 The parity of the shifted product at n is the XOR of the window parities at
 n+h over the shifts.  A window always extends max(H) past the range of n it
 serves, so the XOR is written back into the window's own array, one block
@@ -32,6 +36,7 @@ them into a `SignSeries` for library callers.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -123,63 +128,75 @@ _FLIP_BLOCK = 1 << 20
 
 
 @lru_cache(maxsize=8)
-def _pattern(pset: PrimeSet) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+def _pattern(pset: PrimeSet) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
     """The parities of the smallest prime powers of pset over one period, and
-    for every prime p its smallest power left to flip.
+    every power left to flip up to MAX_INPUT, in increasing order, both as a
+    tuple and as an int64 array.
 
     The powers are taken in increasing order, p**k only when p**(k-1) was
     taken and the period L, their product, stays at most _PATTERN_MAX.  Entry
     r of the pattern is the parity of the taken powers dividing any n = r
-    mod L.  The pattern is read-only, since concurrent windows share it.
+    mod L.  The arrays are read-only, since concurrent windows share them.
     """
-    powers = []
+    small = []
     for p in pset:
         pk = p
         while pk <= _PATTERN_MAX:
-            powers.append((pk, p))
+            small.append((pk, p))
             pk *= p
     period = 1
     top: dict[int, int] = {}  # p -> its largest power taken
-    for pk, p in sorted(powers):
+    for pk, p in sorted(small):
         if top.get(p, 1) * p == pk and period * p <= _PATTERN_MAX:
             top[p] = pk
             period *= p
     pattern = np.zeros(period, dtype=np.uint8)
-    for pk, p in powers:
+    for pk, p in small:
         if pk <= top.get(p, 0):
             pattern[::pk] ^= 1
-    pattern.flags.writeable = False
-    return pattern, tuple((p, top.get(p, 1) * p) for p in pset)
+    rest = []
+    for p in pset:
+        pk = top.get(p, 1) * p
+        while pk <= MAX_INPUT:
+            rest.append(pk)
+            pk *= p
+    rest.sort()
+    powers = np.array(rest, dtype=np.int64)
+    pattern.flags.writeable = powers.flags.writeable = False
+    return pattern, tuple(rest), powers
 
 
 def sieve_parities(pset: PrimeSet, lo: int, hi: int) -> np.ndarray:
     """Parities of the restricted factor count over [lo, hi), one byte each.
 
-    Entry i is omega(pset, lo + i) mod 2.  The prime powers the cached
-    pattern leaves over are flipped by length:
+    Entry i is omega(pset, lo + i) mod 2.  The window is tiled from the
+    cached pattern, and the powers it leaves over, cached in increasing
+    order, fall into three kinds by length, found by bisection:
 
+    - short powers (below _SHORT_POWER and the window length) block by
+      block: each block of _FLIP_BLOCK values is tiled from the pattern at
+      its own phase and flipped by every short power while it is still in
+      cache;
+    - long powers (the others below the window length) once over the whole
+      window;
     - powers at least the window length have at most one multiple in it,
       and all of those are flipped by one scatter, which flips an entry
-      twice when two such powers divide the same n;
-    - short powers (the others below _SHORT_POWER) block by block: each
-      block of _FLIP_BLOCK values is tiled from the pattern at its own
-      phase and flipped by every short power while it is still in cache;
-    - long powers (the rest) once over the whole window.
+      twice when two such powers divide the same n.
 
-    The result is a fresh array no other call shares.
+    Every entry stays 0 or 1, so a stride flips through a bool view of the
+    window with one in-place np.invert, which on a bool array is exactly
+    XOR with 1.  The result is a fresh array no other call shares.
     """
     if not 1 <= lo < hi:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi - 1 > MAX_INPUT:
         raise ValueError(f"window end {hi} exceeds the supported input width")
-    pattern, rest = _pattern(pset)
+    pattern, rest, powers = _pattern(pset)
     m, period = hi - lo, len(pattern)
-    short, long, single = [], [], []
-    for p, pk in rest:
-        while pk < hi:
-            (single if pk >= m else short if pk < _SHORT_POWER else long).append(pk)
-            pk *= p
+    i = bisect_left(rest, min(m, _SHORT_POWER))
+    j = bisect_left(rest, m, i)
     bits = np.empty(m, dtype=np.uint8)
+    flags = bits.view(np.bool_)
     for a in range(0, m, _FLIP_BLOCK):
         blk = bits[a : a + _FLIP_BLOCK]
         n, phase = len(blk), (lo + a) % period
@@ -191,12 +208,15 @@ def sieve_parities(pset: PrimeSet, lo: int, hi: int) -> np.ndarray:
             k = min(filled, n - filled)
             blk[filled : filled + k] = blk[:k]
             filled += k
-        for pk in short:
-            blk[-(lo + a) % pk :: pk] ^= 1
-    for pk in long:
-        bits[-lo % pk :: pk] ^= 1
-    hits = [r for pk in single if (r := -lo % pk) < m]
-    np.bitwise_xor.at(bits, np.array(hits, dtype=np.intp), 1)
+        fb = flags[a : a + _FLIP_BLOCK]
+        for pk in rest[:i]:
+            v = fb[-(lo + a) % pk :: pk]
+            np.invert(v, v)
+    for pk in rest[i:j]:
+        v = flags[-lo % pk :: pk]
+        np.invert(v, v)
+    h = -lo % powers[j : bisect_left(rest, hi, j)]
+    np.bitwise_xor.at(bits, h[h < m], 1)
     return bits
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .core import BudgetError, PrimeSet, ShiftSet, exceptional_primes, primes_from
+from .core import MAX_INPUT, BudgetError, PrimeSet, ShiftSet, exceptional_primes, primes_from
 from .density import local_density
 
 DEFAULT_PRIME_BUDGET = 10**6
@@ -192,6 +192,8 @@ def construct_prime_set(
         )
     if floor is None:
         floor = shifts.shifts[-1] - shifts.shifts[0]  # the largest difference
+    if floor >= MAX_INPUT:
+        raise ValueError(f"no prime above floor {floor} fits the 64-bit input width")
     if target >= 0:
         chosen, _ = _greedy(target, eps, floor, frozenset(), budget, shifts)
         return PrimeSet(chosen)

@@ -231,6 +231,14 @@ class TestSpectrumCommand:
         assert code == 3 and out == "" and "POLLARD_STEPS" in err
         assert time.perf_counter() - t0 < 20
 
+    def test_cofactor_too_wide_for_the_step_cap_exits_at_once(self, capsys):
+        # 2**1500 + 1465 is the least prime above 2**1500, a prime cofactor
+        # past psi_12 that Pollard-Brent would walk to the cap
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, "spectrum", "-H", f"0,{2**1500 + 1465}")
+        assert code == 3 and out == "" and "1501-bit cofactor" in err and "POLLARD_STEPS" in err
+        assert time.perf_counter() - t0 < 1
+
 
 class TestConstructCommand:
     def test_round_trip_reported(self, capsys):
@@ -238,6 +246,16 @@ class TestConstructCommand:
             capsys, "construct", "-H", "0", "--target", "1/2", "--eps", "1e-3"
         )
         assert code == 0 and "primes=" in out and "kappa=" in out
+
+    @pytest.mark.parametrize("floor", [10**20, 2**63 - 1])
+    def test_floor_past_the_input_width_exits_at_once(self, capsys, floor):
+        # every prime above the floor would be refused; scanning the default
+        # budget of 10**6 of them took minutes
+        t0 = time.perf_counter()
+        argv = ["construct", "-H", "0,1", "--target", "1/2", "--eps", "1e-3"]
+        code, out, err = run_cli(capsys, *argv, "--floor", str(floor))
+        assert code == 1 and out == "" and "64-bit input width" in err
+        assert time.perf_counter() - t0 < 1
 
     def test_budget_exit_code(self, capsys):
         code, _, err = run_cli(

@@ -269,6 +269,20 @@ class TestExceptionalPrimes:
         with pytest.raises(BudgetError, match="89-bit cofactor"):
             exceptional_primes(ShiftSet([0, 3 * (2**89 - 1)]))
 
+    def test_cofactors_past_four_times_the_cap_bits_are_refused_before_the_walk(self, monkeypatch):
+        # with a cap of 2**10 steps the widest cofactor walked has 40 bits;
+        # 1031 is the least prime past trial division, found in a few steps
+        monkeypatch.setattr(core, "POLLARD_STEPS", 1 << 10)
+        q, r = (next(primes_from(2**bits // 1031 - 1000)) for bits in (40, 41))
+        assert (1031 * q).bit_length() == 40 and (1031 * r).bit_length() == 41
+        assert exceptional_primes(ShiftSet([0, 1031 * q])) == PrimeSet([1031, q])
+        with pytest.raises(BudgetError, match="41-bit cofactor.*POLLARD_STEPS"):
+            exceptional_primes(ShiftSet([0, 1031 * r]))
+        # a 40-bit cofactor is still walked: this one's two 20-bit factors
+        # take the walk past the cap
+        with pytest.raises(BudgetError, match="40-bit cofactor.*took the cap"):
+            exceptional_primes(ShiftSet([0, 1048387 * 1048391]))
+
     def test_sixty_one_bit_difference_is_fast(self):
         t0 = time.perf_counter()
         assert exceptional_primes(ShiftSet([0, 2**61 - 1])) == PrimeSet([2**61 - 1])

@@ -82,10 +82,11 @@ def test_parities_match_pointwise_at_random_offsets():
 
 class TestPresievedPattern:
     def test_primes_below_ten_thousand_tile_the_smallest_powers(self):
-        pattern, rest = multcorr.sieve._pattern(PrimeSet(primes_upto(10**4)))
+        pattern, rest, powers = multcorr.sieve._pattern(PrimeSet(primes_upto(10**4)))
         assert len(pattern) == 16 * 9 * 5 * 7 * 11
-        assert dict(rest)[2] == 32 and dict(rest)[11] == 121 and dict(rest)[13] == 13
-        assert not pattern.flags.writeable
+        assert {32, 121, 13} <= set(rest) and not {16, 9, 11} & set(rest)
+        assert list(rest) == sorted(rest) == powers.tolist() and rest[-1] <= multcorr.MAX_INPUT
+        assert not pattern.flags.writeable and not powers.flags.writeable
 
     def test_matches_the_strided_sieve(self):
         # random P from the primes below 200, windows shorter than, as long
@@ -168,7 +169,7 @@ class TestFlipBlocks:
     @pytest.mark.parametrize("lo", [1, 9 * 10**7 + 5, 2**40 + 3])
     def test_windows_across_block_edges(self, lo):
         block = multcorr.sieve._FLIP_BLOCK
-        for m in (1000, block - 1, block, block + 1, 3 * block + 12345):
+        for m in (65, 1000, 2048, 2049, block - 1, block, block + 1, 3 * block + 12345):
             self.assert_strided(lo, m)
 
     def test_lo_next_to_a_multiple_of_the_first_power_not_short(self):
@@ -189,15 +190,20 @@ class TestFlipBlocks:
                     self.assert_strided(lo, m)
 
     def test_two_powers_at_least_the_window_length_divide_one_n(self):
+        # exactly two such powers divide n, so the scatter must flip n twice:
+        # a scatter that writes each index once would flip it once
         m = 64
-        least = max(m, multcorr.sieve._SHORT_POWER)
-        powers = [
-            p**k for p in self.PSET for k in range(1, 42) if least <= p**k < 2 * 10**12
-        ]
-        n = next(n for n in itertools.count(10**12) if sum(n % pk == 0 for pk in powers) >= 2)
+        powers = [p**k for p in self.PSET for k in range(1, 42) if m <= p**k < 2 * 10**12]
+        n = next(n for n in itertools.count(10**12) if sum(n % pk == 0 for pk in powers) == 2)
         for lo in (n - m + 1, n - 17, n):
             self.assert_strided(lo, m)
             assert sieve_parities(self.PSET, lo, lo + m)[n - lo] == omega_oracle(self.PSET, n) % 2
+
+    def test_window_ending_at_the_input_width(self):
+        top = multcorr.MAX_INPUT + 1
+        for m in (1, 65, 2048, 2049, multcorr.sieve._FLIP_BLOCK + 1):
+            self.assert_strided(top - m, m)
+            self.assert_strided(top - m, m, PrimeSet([2, 3, 7, 2**31 - 1]))
 
     def test_two_threads_match_one_across_windows(self):
         cfg = SieveConfig(x_max=6 * 10**6, segment_length=(1 << 20) + 3, sample_stride=99991)
