@@ -3,102 +3,60 @@ multiplicative functions: local densities, correlation products over prime
 sets, the spectrum of attainable values, and the symmetric-difference closure
 machinery over the two-element field.
 
-The sieve names load `sieve`, and with it numpy, on first use."""
+Every name loads its module on first use, so `import multcorr` loads no
+layer, and only the sieve names load `sieve`, and with it numpy."""
 
-from .core import (
-    DEFAULT_SEGMENT_LENGTH,
-    MAX_INPUT,
-    BudgetError,
-    DiffSet,
-    PrimeSet,
-    ShiftSet,
-    exceptional_primes,
-    is_prime,
-    liouville,
-    omega,
-    primes_from,
-    shifted_sign,
-)
-from .density import (
-    DensityTrace,
-    local_density,
-    local_density_trace,
-)
-from .gf2 import (
-    ClosureFamily,
-    F2Poly,
-    closure_membership,
-    family_from_generators,
-    two_element_member,
-)
-from .spectrum import (
-    Correlation,
-    CorrelationInterval,
-    SpectrumDescription,
-    construct_prime_set,
-    correlation,
-    describe_spectrum,
-    set_density,
-    truncated_correlation,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-_SIEVE_NAMES = frozenset(
-    {
-        "SeriesSample",
-        "SieveConfig",
-        "SignSeries",
-        "empirical_density",
-        "running_average",
-        "shifted_parities",
-        "sieve_parities",
-    }
-)
+# The module of the package that defines each public name.
+_HOME = {
+    "DEFAULT_SEGMENT_LENGTH": "core",
+    "MAX_INPUT": "core",
+    "BudgetError": "core",
+    "DiffSet": "core",
+    "PrimeSet": "core",
+    "ShiftSet": "core",
+    "exceptional_primes": "core",
+    "is_prime": "core",
+    "liouville": "core",
+    "omega": "core",
+    "primes_from": "core",
+    "shifted_sign": "core",
+    "DensityTrace": "density",
+    "local_density": "density",
+    "local_density_trace": "density",
+    "ClosureFamily": "gf2",
+    "F2Poly": "gf2",
+    "closure_membership": "gf2",
+    "family_from_generators": "gf2",
+    "two_element_member": "gf2",
+    "SeriesSample": "sieve",
+    "SieveConfig": "sieve",
+    "SignSeries": "sieve",
+    "empirical_density": "sieve",
+    "running_average": "sieve",
+    "shifted_parities": "sieve",
+    "sieve_parities": "sieve",
+    "Correlation": "spectrum",
+    "CorrelationInterval": "spectrum",
+    "SpectrumDescription": "spectrum",
+    "construct_prime_set": "spectrum",
+    "correlation": "spectrum",
+    "describe_spectrum": "spectrum",
+    "set_density": "spectrum",
+    "truncated_correlation": "spectrum",
+}
+
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):
-    if name in _SIEVE_NAMES:
-        from . import sieve
-
-        return getattr(sieve, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
 
 
-__all__ = [
-    "MAX_INPUT",
-    "BudgetError",
-    "DiffSet",
-    "PrimeSet",
-    "ShiftSet",
-    "exceptional_primes",
-    "is_prime",
-    "liouville",
-    "omega",
-    "primes_from",
-    "shifted_sign",
-    "DensityTrace",
-    "local_density",
-    "local_density_trace",
-    "ClosureFamily",
-    "F2Poly",
-    "closure_membership",
-    "family_from_generators",
-    "two_element_member",
-    "DEFAULT_SEGMENT_LENGTH",
-    "SeriesSample",
-    "SieveConfig",
-    "SignSeries",
-    "empirical_density",
-    "running_average",
-    "shifted_parities",
-    "sieve_parities",
-    "Correlation",
-    "CorrelationInterval",
-    "SpectrumDescription",
-    "construct_prime_set",
-    "correlation",
-    "describe_spectrum",
-    "set_density",
-    "truncated_correlation",
-]
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

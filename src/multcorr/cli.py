@@ -6,8 +6,12 @@ rendering (12 significant digits by default), either as plain text or as one
 JSON object per invocation with --json.  Series output is CSV with header
 ``x,sum,average`` or JSON records, written one sieve window at a time.
 
+Each command imports the layer it runs only when it runs, so building the
+parser loads `core` alone, and numpy loads only for verify and series.
+
 Exit codes: 0 success, 1 usage or parse error, 2 verification failure,
-3 resource cap (prime budget, degree cap, factoring steps, window length).
+3 resource cap (prime budget, degree cap, factoring steps, window length,
+integers sieved).
 """
 
 from __future__ import annotations
@@ -19,16 +23,7 @@ from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact, loc
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .core import DEFAULT_SEGMENT_LENGTH, BudgetError, PrimeSet, ShiftSet
-from .density import local_density, local_density_trace
-from .gf2 import family_from_generators, two_element_member
-from .spectrum import (
-    DEFAULT_PRIME_BUDGET,
-    construct_prime_set,
-    correlation,
-    describe_spectrum,
-    truncated_correlation,
-)
+from .core import DEFAULT_PRIME_BUDGET, DEFAULT_SEGMENT_LENGTH, BudgetError, PrimeSet, ShiftSet
 
 DEFAULT_DIGITS = 12
 # Significant digits a decimal rendering may ask for; the exact rational is
@@ -145,6 +140,8 @@ def _emit(record: dict, as_json: bool, lines: list[str]) -> None:
 
 
 def _cmd_density(args) -> int:
+    from .density import local_density, local_density_trace
+
     shifts = ShiftSet(_parse_int_list(args.shifts, "shift"))
     value = local_density(args.prime, shifts)
     lines = [f"eta={rational_str(value)} decimal={decimal_str(value, args.digits)}"]
@@ -163,6 +160,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
+    from .spectrum import correlation, truncated_correlation
+
     pset = PrimeSet(_parse_int_list(args.primes, "prime"))
     shifts = ShiftSet(_parse_int_list(args.shifts, "shift"))
     record = {
@@ -195,7 +194,8 @@ def _cmd_kappa(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .sieve import SieveConfig, running_average  # numpy loads only for sieve commands
+    from .sieve import SieveConfig, running_average
+    from .spectrum import correlation
 
     pset = PrimeSet(_parse_int_list(args.primes, "prime"))
     shifts = ShiftSet(_parse_int_list(args.shifts, "shift"))
@@ -227,6 +227,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    from .spectrum import describe_spectrum
+
     shifts = ShiftSet(_parse_int_list(args.shifts, "shift"))
     desc = describe_spectrum(shifts)
     lines = [
@@ -247,6 +249,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from .spectrum import construct_prime_set, correlation
+
     shifts = ShiftSet(_parse_int_list(args.shifts, "shift"))
     target = _parse_fraction(args.target, "target")
     eps = _parse_fraction(args.eps, "eps")
@@ -274,6 +278,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    from .gf2 import family_from_generators, two_element_member
+
     sets = [ShiftSet(_parse_int_list(g, "shift")) for g in args.generators]
     fam = family_from_generators(sets)
     member = two_element_member(fam)  # raises unless t^D = 1 mod the generator

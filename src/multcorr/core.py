@@ -33,6 +33,13 @@ DEFAULT_SEGMENT_LENGTH = 1 << 22
 # Largest window length a sieve run accepts: a window holds one byte per
 # integer, so this caps its array at 64 MiB.
 MAX_SEGMENT_LENGTH = 1 << 26
+# Most integers a sieve run covers, x_max + max(H).  Over the primes below
+# 10**4 `verify` sieved about 4.3e8 integers/s on a 2-core Xeon VM, so a run
+# at the cap takes about 4 minutes there, and ten on a machine half as fast.
+MAX_SIEVED = 10**11
+# Default number of primes `spectrum.construct_prime_set` scans; it lives
+# here so that the CLI can build its parser without importing `spectrum`.
+DEFAULT_PRIME_BUDGET = 10**6
 
 # `primes_from` sieves segments of this many odd numbers, with base primes up
 # to at most _BASE_CAP; a survivor at or above _BASE_CAP**2 may still have a
@@ -338,8 +345,9 @@ _TRIAL_PRIMES = (2, *_odd_primes_upto(1 << 10))
 # composite below 2**64 has a prime factor p < 2**32, which the walk modulo p
 # finds after about sqrt(pi * p / 2) ~ 82000 steps.  Within the cap its tail
 # plus period may reach 2**20; for a random walk the chance of a longer one
-# is about exp(-2**40 / (2 * p)) < exp(-128).  Larger cofactors may need far
-# more steps, and raise BudgetError instead.
+# is about exp(-2**40 / (2 * p)) < exp(-128).  Cofactors past 64 bits, or
+# past 4 log2(POLLARD_STEPS) bits under a smaller cap, are refused with
+# BudgetError before the walk: they make a span wider than MAX_INPUT.
 POLLARD_STEPS = 1 << 22
 
 
@@ -347,11 +355,12 @@ def _pollard_brent(n: int) -> int:
     """A proper factor of an odd composite n without small factors (Brent 1980).
 
     Raises BudgetError before a round that could take the steps spent on n
-    past POLLARD_STEPS, and at once for n wider than 4 log2(POLLARD_STEPS)
-    bits: the least prime factor p <= sqrt(n) of such an n may need about
-    sqrt(p) ~ n**(1/4) steps, past the cap.  Such an n makes the shift
-    span wider than MAX_INPUT, which every exact command refuses anyway."""
-    width = 4 * (POLLARD_STEPS.bit_length() - 1)
+    past POLLARD_STEPS, and at once for n wider than min(4 log2(POLLARD_STEPS),
+    64) bits: the least prime factor p <= sqrt(n) of an n past 4 log2 of the
+    cap may need about sqrt(p) ~ n**(1/4) steps, past the cap, and an n of
+    2**64 or more makes the shift span wider than MAX_INPUT, which every
+    exact command refuses anyway."""
+    width = min(4 * (POLLARD_STEPS.bit_length() - 1), 64)
     if n.bit_length() > width:
         raise BudgetError(
             f"factoring a {n.bit_length()}-bit cofactor of a shift difference "

@@ -27,9 +27,9 @@ for the spans below 2**63 that `core._check_span` admits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
 from .core import ShiftSet, _check_prime, _check_span
 
@@ -76,8 +76,7 @@ def local_density(p: int, shifts: ShiftSet) -> Fraction:
     return _eta(p, tuple([h - hs[0] for h in hs]))
 
 
-@dataclass(frozen=True)
-class DensityTrace:
+class DensityTrace(NamedTuple):
     """One node of the recursion tree behind a local density value.
 
     `kind` is one of "empty", "singleton", "split", "rescale".  A rescale

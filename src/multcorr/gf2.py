@@ -17,10 +17,9 @@ is 1, so the chain of squarings that finds D also certifies t**D == 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import BudgetError, ShiftSet
 
@@ -214,8 +213,7 @@ def pow_t_mod(exponent: int, modulus: F2Poly) -> F2Poly:
     return F2Poly(_pow_t_mod(exponent, modulus.bits))
 
 
-@dataclass(frozen=True)
-class ClosureFamily:
+class ClosureFamily(NamedTuple):
     """Generator of the ideal spanned by shift-set encodings.
 
     The generator has constant term 1: the lowest power of t is stripped from

@@ -8,7 +8,7 @@ The smallest prime powers are pre-sieved: their flips repeat with period L,
 the product of those powers (at most _PATTERN_MAX), so one cached period is
 tiled over the window by doubling copies and only the remaining powers are
 flipped one stride at a time, in three kinds by length.  Those powers are
-cached with the pattern in increasing order, so a window finds its kinds
+cached with the pattern as one sorted array, so a window finds its kinds
 by bisection and never walks the powers it does not flip.  A power at least
 the window length has at most one multiple in it, so all of those multiples
 are flipped by one scatter, a single numpy expression over the cached
@@ -36,9 +36,7 @@ them into a `SignSeries` for library callers.
 from __future__ import annotations
 
 import os
-from bisect import bisect_left
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -46,7 +44,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import DEFAULT_SEGMENT_LENGTH, MAX_INPUT, MAX_SEGMENT_LENGTH, BudgetError, PrimeSet, ShiftSet
+from .core import (
+    DEFAULT_SEGMENT_LENGTH,
+    MAX_INPUT,
+    MAX_SEGMENT_LENGTH,
+    MAX_SIEVED,
+    BudgetError,
+    PrimeSet,
+    ShiftSet,
+)
 
 
 @dataclass(frozen=True)
@@ -128,10 +134,10 @@ _FLIP_BLOCK = 1 << 20
 
 
 @lru_cache(maxsize=8)
-def _pattern(pset: PrimeSet) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+def _pattern(pset: PrimeSet) -> tuple[np.ndarray, np.ndarray]:
     """The parities of the smallest prime powers of pset over one period, and
-    every power left to flip up to MAX_INPUT, in increasing order, both as a
-    tuple and as an int64 array.
+    every power left to flip up to MAX_INPUT, in increasing order, as an
+    int64 array.
 
     The powers are taken in increasing order, p**k only when p**(k-1) was
     taken and the period L, their product, stays at most _PATTERN_MAX.  Entry
@@ -160,10 +166,9 @@ def _pattern(pset: PrimeSet) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
         while pk <= MAX_INPUT:
             rest.append(pk)
             pk *= p
-    rest.sort()
-    powers = np.array(rest, dtype=np.int64)
+    powers = np.array(sorted(rest), dtype=np.int64)
     pattern.flags.writeable = powers.flags.writeable = False
-    return pattern, tuple(rest), powers
+    return pattern, powers
 
 
 def sieve_parities(pset: PrimeSet, lo: int, hi: int) -> np.ndarray:
@@ -191,10 +196,12 @@ def sieve_parities(pset: PrimeSet, lo: int, hi: int) -> np.ndarray:
         raise ValueError(f"need 1 <= lo < hi, got [{lo}, {hi})")
     if hi - 1 > MAX_INPUT:
         raise ValueError(f"window end {hi} exceeds the supported input width")
-    pattern, rest, powers = _pattern(pset)
+    pattern, powers = _pattern(pset)
     m, period = hi - lo, len(pattern)
-    i = bisect_left(rest, min(m, _SHORT_POWER))
-    j = bisect_left(rest, m, i)
+    # the counts of powers below min(m, _SHORT_POWER), m and hi, taken as
+    # those at most one less, since hi may be 2**63, past int64
+    i, j, k = powers.searchsorted((min(m, _SHORT_POWER) - 1, m - 1, hi - 1), "right").tolist()
+    short, long, single = powers[:i].tolist(), powers[i:j].tolist(), powers[j:k]
     bits = np.empty(m, dtype=np.uint8)
     flags = bits.view(np.bool_)
     for a in range(0, m, _FLIP_BLOCK):
@@ -209,13 +216,13 @@ def sieve_parities(pset: PrimeSet, lo: int, hi: int) -> np.ndarray:
             blk[filled : filled + k] = blk[:k]
             filled += k
         fb = flags[a : a + _FLIP_BLOCK]
-        for pk in rest[:i]:
+        for pk in short:
             v = fb[-(lo + a) % pk :: pk]
             np.invert(v, v)
-    for pk in rest[i:j]:
+    for pk in long:
         v = flags[-lo % pk :: pk]
         np.invert(v, v)
-    h = -lo % powers[j : bisect_left(rest, hi, j)]
+    h = -lo % single
     np.bitwise_xor.at(bits, h[h < m], 1)
     return bits
 
@@ -279,7 +286,8 @@ def series_windows(
     change any output value.
 
     Every argument is checked before the generator is returned, so a
-    rejected call raises before anything is sieved.
+    rejected call raises before anything is sieved; x_max + max(H) past
+    MAX_SIEVED raises BudgetError.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -290,6 +298,11 @@ def series_windows(
         )
     if cfg.x_max + maxh > MAX_INPUT:
         raise ValueError(f"x_max {cfg.x_max} plus max shift exceeds the input width")
+    if cfg.x_max + maxh > MAX_SIEVED:
+        raise BudgetError(
+            f"sieving x_max {cfg.x_max} plus max shift {maxh} exceeds the cap of "
+            f"MAX_SIEVED = {MAX_SIEVED} integers"
+        )
 
     x_max = cfg.x_max
     stride = cfg.sample_stride or x_max
@@ -337,6 +350,8 @@ def series_windows(
 def _pooled(fn, items, workers: int) -> Iterator:
     """fn over items on a pool of `workers` threads, in order, with at most
     one result per worker waiting for the consumer."""
+    from concurrent.futures import ThreadPoolExecutor  # a single worker makes no pool
+
     with ThreadPoolExecutor(workers) as pool:
         pending: deque = deque()
         for item in items:

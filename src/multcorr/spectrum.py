@@ -12,26 +12,30 @@ constructs prime sets hitting a target value by a greedy scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
-from .core import MAX_INPUT, BudgetError, PrimeSet, ShiftSet, exceptional_primes, primes_from
+from .core import (
+    DEFAULT_PRIME_BUDGET,
+    MAX_INPUT,
+    BudgetError,
+    PrimeSet,
+    ShiftSet,
+    exceptional_primes,
+    primes_from,
+)
 from .density import local_density
 
-DEFAULT_PRIME_BUDGET = 10**6
 
-
-@dataclass(frozen=True)
-class Correlation:
+class Correlation(NamedTuple):
     """Exact correlation value together with its per-prime factors."""
 
     value: Fraction
     factors: tuple[tuple[int, Fraction], ...]
 
 
-@dataclass(frozen=True)
-class CorrelationInterval:
+class CorrelationInterval(NamedTuple):
     """Certified bracket [center - radius, center + radius] for a truncation."""
 
     center: Fraction
@@ -49,8 +53,7 @@ class CorrelationInterval:
         return self.lower <= Fraction(value) <= self.upper
 
 
-@dataclass(frozen=True)
-class SpectrumDescription:
+class SpectrumDescription(NamedTuple):
     """Infimum of the single-prime factors, its witness, and the value interval."""
 
     floor: Fraction

@@ -14,7 +14,7 @@ import multcorr.cli
 import multcorr.sieve
 from multcorr import PrimeSet, ShiftSet, correlation, shifted_sign
 from multcorr.cli import _int_str, decimal_str, main, rational_str, short_rational
-from multcorr.core import MAX_SEGMENT_LENGTH
+from multcorr.core import MAX_SEGMENT_LENGTH, MAX_SIEVED
 from fractions import Fraction
 
 from oracles import primes_upto
@@ -209,6 +209,21 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, *argv, "--segment-length", too_long, *fmt)
         assert code == 3 and out == ""
         assert f"segment_length {too_long} exceeds the cap of MAX_SEGMENT_LENGTH = 67108864" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-P", "2,3", "-H", "0,1", "-x", str(10**18), "--tol", "1"],
+            ["series", "-P", "2,3", "-H", "0,1", "--x-max", str(10**18)],
+        ],
+    )
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_range_past_the_sieve_cap_exits_three(self, capsys, argv, fmt):
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, *fmt)
+        assert code == 3 and out == ""
+        assert f"x_max {10**18} plus max shift 1 exceeds the cap of MAX_SIEVED = {MAX_SIEVED}" in err
+        assert time.perf_counter() - t0 < 1
 
 
 class TestSpectrumCommand:
@@ -483,24 +498,43 @@ class TestProtocol:
         assert "1/6" in proc.stdout
 
     def test_exact_commands_do_not_import_numpy(self):
+        # each command in a fresh interpreter, with the modules it must not load
+        parser_only = "numpy dataclasses concurrent.futures multcorr.density multcorr.spectrum"
+        cases = [
+            (None, parser_only + " multcorr.gf2 multcorr.sieve"),
+            (["spectrum", "-H", "0,4,6"], "numpy multcorr.gf2"),
+            (["closure", "-G", "0,1,3"], "numpy multcorr.density multcorr.spectrum"),
+            (["verify", "-P", "2", "-H", "0", "-x", "100", "--tol", "1"], "concurrent.futures"),
+        ]
         src = Path(__file__).resolve().parents[1] / "src"
-        code = (
-            "import sys\n"
-            "import multcorr.cli as cli\n"
-            "cli.build_parser()\n"
-            "assert 'numpy' not in sys.modules, 'parser'\n"
-            "assert cli.main(['spectrum', '-H', '0,4,6']) == 0\n"
-            "assert 'numpy' not in sys.modules, 'spectrum'\n"
-            "from multcorr import SieveConfig\n"
-            "assert 'numpy' in sys.modules, 'sieve names load numpy'\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
-        )
-        assert proc.returncode == 0, proc.stderr
+        for argv, absent in cases:
+            code = (
+                "import sys\n"
+                "import multcorr.cli as cli\n"
+                "cli.build_parser()\n"
+                f"argv, absent = {argv!r}, {absent.split()!r}\n"
+                "assert argv is None or cli.main(argv) == 0\n"
+                "loaded = [name for name in absent if name in sys.modules]\n"
+                "assert not loaded, (argv, loaded)\n"
+                "from multcorr import SieveConfig\n"
+                "assert 'numpy' in sys.modules, 'sieve names load numpy'\n"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code],
+                capture_output=True,
+                text=True,
+                env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+            )
+            assert proc.returncode == 0, proc.stderr
+
+    def test_every_public_name_resolves(self):
+        import multcorr
+
+        listed = dir(multcorr)
+        for name in multcorr.__all__:
+            assert getattr(multcorr, name) is not None and name in listed, name
+        with pytest.raises(AttributeError, match="no attribute 'absent'"):
+            multcorr.absent
 
 
 class TestRendering:

@@ -283,6 +283,13 @@ class TestExceptionalPrimes:
         with pytest.raises(BudgetError, match="40-bit cofactor.*took the cap"):
             exceptional_primes(ShiftSet([0, 1048387 * 1048391]))
 
+    def test_cofactors_past_sixty_four_bits_are_refused_before_the_walk(self):
+        # an 86-bit prime is within 4 log2(POLLARD_STEPS) = 88 bits, but any
+        # cofactor of 2**64 or more makes a span wider than MAX_INPUT, so it
+        # meets the width message, not the in-walk "took the cap" one
+        with pytest.raises(BudgetError, match="86-bit cofactor.*could take.*past 64 bits"):
+            exceptional_primes(ShiftSet([0, 38685626227668133590597803]))
+
     def test_sixty_one_bit_difference_is_fast(self):
         t0 = time.perf_counter()
         assert exceptional_primes(ShiftSet([0, 2**61 - 1])) == PrimeSet([2**61 - 1])

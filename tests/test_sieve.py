@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 import random
 import sys
@@ -82,10 +83,11 @@ def test_parities_match_pointwise_at_random_offsets():
 
 class TestPresievedPattern:
     def test_primes_below_ten_thousand_tile_the_smallest_powers(self):
-        pattern, rest, powers = multcorr.sieve._pattern(PrimeSet(primes_upto(10**4)))
+        pattern, powers = multcorr.sieve._pattern(PrimeSet(primes_upto(10**4)))
+        rest = powers.tolist()
         assert len(pattern) == 16 * 9 * 5 * 7 * 11
         assert {32, 121, 13} <= set(rest) and not {16, 9, 11} & set(rest)
-        assert list(rest) == sorted(rest) == powers.tolist() and rest[-1] <= multcorr.MAX_INPUT
+        assert powers.dtype == np.int64 and rest == sorted(rest) and rest[-1] <= multcorr.MAX_INPUT
         assert not pattern.flags.writeable and not powers.flags.writeable
 
     def test_matches_the_strided_sieve(self):
@@ -275,6 +277,22 @@ class TestRunningAverage:
         with pytest.raises(BudgetError, match="12 samples exceed the cap of MAX_SAMPLES = 10"):
             running_average(pset, shifts, SieveConfig(x_max=100, sample_stride=9))
 
+    def test_sieved_cap_boundary(self, monkeypatch):
+        # x_max + max(H) = 100 is sieved; one more raises before any window
+        monkeypatch.setattr(multcorr.sieve, "MAX_SIEVED", 100)
+        pset, shifts = PrimeSet([2]), ShiftSet([0, 3])
+        assert running_average(pset, shifts, SieveConfig(x_max=97)).final.x == 97
+
+        def unsieved(*args):
+            raise AssertionError("sieved past the cap")
+
+        monkeypatch.setattr(multcorr.sieve, "shifted_parities", unsieved)
+        for cfg, threads in ((SieveConfig(x_max=98), 1), (SieveConfig(x_max=98, sample_stride=7), 2)):
+            with pytest.raises(BudgetError, match="plus max shift 3 exceeds the cap of MAX_SIEVED = 100"):
+                series_windows(pset, shifts, cfg, threads)
+            with pytest.raises(BudgetError, match="MAX_SIEVED = 100"):
+                running_average(pset, shifts, cfg, threads)
+
     def test_segment_independence(self):
         pset, shifts = PrimeSet([2, 3]), ShiftSet([0, 4, 6])
         reference = None
@@ -303,7 +321,7 @@ class TestRunningAverage:
                 pool_sizes.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(multcorr.sieve, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(multcorr.sieve.os, "cpu_count", lambda: 2)
         pset, shifts = PrimeSet([2, 3, 5]), ShiftSet([0, 1, 2])
         cfg = SieveConfig(x_max=300, segment_length=102, sample_stride=7)
@@ -369,7 +387,7 @@ class TestSeriesWindows:
                 submitted.append(args)
                 return super().submit(fn, *args)
 
-        monkeypatch.setattr(multcorr.sieve, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(multcorr.sieve.os, "cpu_count", lambda: 3)
         cfg = SieveConfig(x_max=1000, segment_length=100, sample_stride=10)
         windows = series_windows(PrimeSet([2]), ShiftSet([0]), cfg, threads=3)
