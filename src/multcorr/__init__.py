@@ -15,7 +15,6 @@ _HOME = {
     "DEFAULT_SEGMENT_LENGTH": "core",
     "MAX_INPUT": "core",
     "BudgetError": "core",
-    "DiffSet": "core",
     "PrimeSet": "core",
     "ShiftSet": "core",
     "exceptional_primes": "core",

@@ -2,14 +2,15 @@
 
 A completely multiplicative function taking values in {-1, +1} is determined
 by the set of primes where it equals -1.  This module holds the two set types
-(`PrimeSet`, `ShiftSet`), the derived pairwise-difference set, and the exact
-pointwise evaluators: the restricted prime-factor count `omega`, the sign
-`liouville`, and the shifted product `shifted_sign`.
+(`PrimeSet`, `ShiftSet`) and the exact pointwise evaluators: the restricted
+prime-factor count `omega`, the sign `liouville`, and the shifted product
+`shifted_sign`.
 
 Everything here is pure and immutable; pointwise values are computed by
 repeated division by the configured primes only, never by full
-factorization.  Prime generation is a segmented sieve of Eratosthenes; the
-exceptional primes of a shift set come from factoring its differences.
+factorization.  Prime generation is a segmented sieve of Eratosthenes.
+`exceptional_primes` is the one test of which primes divide a pairwise
+difference of a shift set: it factors each difference once.
 
 Nothing here imports numpy, so commands that never sieve parities do not
 pay for loading it.
@@ -33,9 +34,10 @@ DEFAULT_SEGMENT_LENGTH = 1 << 22
 # Largest window length a sieve run accepts: a window holds one byte per
 # integer, so this caps its array at 64 MiB.
 MAX_SEGMENT_LENGTH = 1 << 26
-# Most integers a sieve run covers, x_max + max(H).  Over the primes below
-# 10**4 `verify` sieved about 4.3e8 integers/s on a 2-core Xeon VM, so a run
-# at the cap takes about 4 minutes there, and ten on a machine half as fast.
+# Most integers a sieve run covers, x_max + max(H), counted ceil(|H| / 32)
+# times: a window's shift XORs grow with |H| (10.7 ms at |H| = 1, 91.2 ms at
+# 400).  Over the primes below 10**4 `verify` sieved about 4.3e8 integers/s
+# on a 2-core Xeon VM, so a run at the cap takes about 4 minutes there.
 MAX_SIEVED = 10**11
 # Default number of primes `spectrum.construct_prime_set` scans; it lives
 # here so that the CLI can build its parser without importing `spectrum`.
@@ -50,7 +52,7 @@ _BASE_CAP = 1 << 20
 
 class BudgetError(RuntimeError):
     """A configured resource cap was exceeded (prime budget, degree cap,
-    factoring steps, window length)."""
+    factoring steps, window length, integers sieved)."""
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -268,42 +270,6 @@ class ShiftSet:
     def symmetric_difference(self, other: "ShiftSet") -> "ShiftSet":
         return ShiftSet(set(self.shifts) ^ set(other.shifts))
 
-    def differences(self) -> "DiffSet":
-        return DiffSet(self)
-
-
-class DiffSet:
-    """Positive representatives of the pairwise differences of a shift set.
-
-    Divisibility by a prime is sign-invariant, so each difference is stored
-    once as its absolute value.  Empty whenever the shift set has at most one
-    element; every element is at most the largest shift.
-    """
-
-    __slots__ = ("diffs",)
-
-    def __init__(self, shifts: ShiftSet):
-        hs = shifts.shifts
-        self.diffs = tuple(sorted({b - a for i, a in enumerate(hs) for b in hs[i + 1 :]}))
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.diffs)
-
-    def __len__(self) -> int:
-        return len(self.diffs)
-
-    def __contains__(self, d: int) -> bool:
-        return d in self.diffs
-
-    def __repr__(self) -> str:
-        return f"DiffSet({list(self.diffs)!r})"
-
-    def divisible_by(self, p: int) -> bool:
-        """True when p divides at least one pairwise difference."""
-        if not self.diffs or p > self.diffs[-1]:
-            return False
-        return any(d % p == 0 for d in self.diffs)
-
 
 def _check_argument(n: int, limit: int = MAX_INPUT) -> None:
     if n < 1:
@@ -423,8 +389,10 @@ def _prime_factors(m: int) -> set[int]:
 
 
 def exceptional_primes(shifts: ShiftSet) -> PrimeSet:
-    """Primes dividing at least one pairwise difference of the shift set."""
+    """Primes dividing at least one pairwise difference of the shift set;
+    every other prime has the closed-form factor 1 - 2|H|/(p+1)."""
+    hs = shifts.shifts
     found: set[int] = set()
-    for d in shifts.differences():
+    for d in {b - a for i, a in enumerate(hs) for b in hs[i + 1 :]}:
         found |= _prime_factors(d)
     return PrimeSet(found)

@@ -286,8 +286,8 @@ def series_windows(
     change any output value.
 
     Every argument is checked before the generator is returned, so a
-    rejected call raises before anything is sieved; x_max + max(H) past
-    MAX_SIEVED raises BudgetError.
+    rejected call raises before anything is sieved; x_max + max(H), times
+    ceil(|H| / 32), past MAX_SIEVED raises BudgetError.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -298,9 +298,11 @@ def series_windows(
         )
     if cfg.x_max + maxh > MAX_INPUT:
         raise ValueError(f"x_max {cfg.x_max} plus max shift exceeds the input width")
-    if cfg.x_max + maxh > MAX_SIEVED:
+    weight = max(1, -(-len(shifts) // 32))
+    if (cfg.x_max + maxh) * weight > MAX_SIEVED:
+        times = f" times {weight} for {len(shifts)} shifts" if weight > 1 else ""
         raise BudgetError(
-            f"sieving x_max {cfg.x_max} plus max shift {maxh} exceeds the cap of "
+            f"sieving x_max {cfg.x_max} plus max shift {maxh}{times} exceeds the cap of "
             f"MAX_SIEVED = {MAX_SIEVED} integers"
         )
 

@@ -103,6 +103,17 @@ def truncated_correlation(
     return CorrelationInterval(center, 2 * len(shifts) * tail)
 
 
+def _describe(shifts: ShiftSet, exceptional: frozenset[int]) -> SpectrumDescription:
+    """`describe_spectrum` given the exceptional primes of the shift set."""
+    if not shifts:
+        raise ValueError("spectrum needs a non-empty shift set")
+    q = next(p for p in primes_from(1) if p not in exceptional)
+    candidates = [(p, Fraction(*_factor(p, shifts))) for p in (*exceptional, q)]
+    floor = min(f for _, f in candidates)
+    witness = min(p for p, f in candidates if f == floor)
+    return SpectrumDescription(floor, witness, min(floor, Fraction(0)), Fraction(1))
+
+
 def describe_spectrum(shifts: ShiftSet) -> SpectrumDescription:
     """Floor and witness of the per-prime factors, and the attainable interval.
 
@@ -111,15 +122,7 @@ def describe_spectrum(shifts: ShiftSet) -> SpectrumDescription:
     prime is the only one that can compete with the exceptional ones.  The
     closure of attainable values is [min(floor, 0), 1].
     """
-    if not shifts:
-        raise ValueError("spectrum needs a non-empty shift set")
-    exceptional = exceptional_primes(shifts)
-    excluded = set(exceptional)
-    q = next(p for p in primes_from(1) if p not in excluded)
-    candidates = [(p, Fraction(*_factor(p, shifts))) for p in (*exceptional, q)]
-    floor = min(f for _, f in candidates)
-    witness = min(p for p, f in candidates if f == floor)
-    return SpectrumDescription(floor, witness, min(floor, Fraction(0)), Fraction(1))
+    return _describe(shifts, frozenset(exceptional_primes(shifts)))
 
 
 def _greedy(
@@ -130,14 +133,13 @@ def _greedy(
     budget: int,
     shifts: ShiftSet,
 ) -> tuple[list[int], Fraction]:
-    """Greedy scan over non-exceptional primes above `floor`.
+    """Greedy scan over the primes above `floor` that are not in `avoid`.
 
     Includes p whenever the running product stays at or above the target;
     factors tend to 1, so the product converges onto [target, target + eps].
     The product is kept as a reduced integer fraction num/den and compared
     by cross-multiplication; den stays positive.
     """
-    diffs = shifts.differences()
     tn, td = target.numerator, target.denominator
     upper = target + eps
     un, ud = upper.numerator, upper.denominator
@@ -154,7 +156,7 @@ def _greedy(
                 f"(current product {num / den:.12g})"
             )
         p = next(gen)
-        if p in avoid or diffs.divisible_by(p):
+        if p in avoid:
             continue
         fn, fd = _factor(p, shifts)
         if fn <= 0:
@@ -182,13 +184,18 @@ def construct_prime_set(
     target is reached by constructing the positive ratio target/floor while
     avoiding the witness prime, then adjoining the witness; since the witness
     factor has absolute value at most 1, the eps guarantee carries over.
-    Raises BudgetError when the scan exhausts its prime budget.
+    The scan skips the exceptional primes.  Raises ValueError for eps <= 0 or
+    budget < 0, and BudgetError when the scan exhausts its prime budget.
     """
     target = Fraction(target)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    desc = describe_spectrum(shifts)
+    if budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    # the one factoring of the differences: the greedy skips these primes too
+    exceptional = frozenset(exceptional_primes(shifts))
+    desc = _describe(shifts, exceptional)
     if not desc.lo < target <= 1:
         raise ValueError(
             f"target {target} outside the attainable interval ({desc.lo}, 1]"
@@ -198,8 +205,8 @@ def construct_prime_set(
     if floor >= MAX_INPUT:
         raise ValueError(f"no prime above floor {floor} fits the 64-bit input width")
     if target >= 0:
-        chosen, _ = _greedy(target, eps, floor, frozenset(), budget, shifts)
+        chosen, _ = _greedy(target, eps, floor, exceptional, budget, shifts)
         return PrimeSet(chosen)
     ratio = target / desc.floor
-    chosen, _ = _greedy(ratio, eps, floor, frozenset({desc.witness}), budget, shifts)
+    chosen, _ = _greedy(ratio, eps, floor, exceptional | {desc.witness}, budget, shifts)
     return PrimeSet(chosen + [desc.witness])

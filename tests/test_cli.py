@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -225,6 +226,25 @@ class TestVerifyCommand:
         assert f"x_max {10**18} plus max shift 1 exceeds the cap of MAX_SIEVED = {MAX_SIEVED}" in err
         assert time.perf_counter() - t0 < 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "-P", "2,3", "-x", str(10**10), "--tol", "1"],
+            ["series", "-P", "2,3", "--x-max", str(10**10)],
+        ],
+    )
+    def test_many_shifts_count_against_the_sieve_cap(self, capsys, argv):
+        # 400 shifts weigh ceil(400 / 32) = 13, and 13 (10**10 + 399) > 10**11
+        shifts = ",".join(map(str, range(400)))
+        t0 = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv, "-H", shifts)
+        assert code == 3 and out == ""
+        assert (
+            f"x_max {10**10} plus max shift 399 times 13 for 400 shifts exceeds the cap of "
+            f"MAX_SIEVED = {MAX_SIEVED}"
+        ) in err
+        assert time.perf_counter() - t0 < 1
+
 
 class TestSpectrumCommand:
     def test_negative_floor(self, capsys):
@@ -278,6 +298,14 @@ class TestConstructCommand:
             "construct", "-H", "0", "--target", "577/1000", "--eps", "1e-9", "--budget", "3",
         )
         assert code == 3 and "resource cap" in err
+
+    def test_negative_budget_is_a_usage_error(self, capsys):
+        argv = ["construct", "-H", "0,1", "--target", "1/2", "--eps", "1e-3"]
+        code, out, err = run_cli(capsys, *argv, "--budget", "-5")
+        assert code == 1 and out == ""
+        assert "budget must be non-negative, got -5" in err
+        code, out, _ = run_cli(capsys, "construct", "-H", "0,1", "--target", "1", "--eps", "1e-3", "--budget", "0")
+        assert code == 0 and out.startswith("primes= kappa=1/1")
 
     def test_budget_exit_code_with_a_product_past_the_digit_limit(self, capsys):
         # the product of 7000 factors has more digits than int-to-str allows
@@ -492,7 +520,7 @@ class TestProtocol:
             [sys.executable, "-m", "multcorr", "density", "-p", "2", "-H", "0,4,6"],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+            env=dict(os.environ, PYTHONPATH=str(src)),
         )
         assert proc.returncode == 0
         assert "1/6" in proc.stdout
@@ -523,7 +551,7 @@ class TestProtocol:
                 [sys.executable, "-c", code],
                 capture_output=True,
                 text=True,
-                env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+                env=dict(os.environ, PYTHONPATH=str(src)),
             )
             assert proc.returncode == 0, proc.stderr
 
@@ -535,6 +563,10 @@ class TestProtocol:
             assert getattr(multcorr, name) is not None and name in listed, name
         with pytest.raises(AttributeError, match="no attribute 'absent'"):
             multcorr.absent
+        # the pairwise differences are internal to core.exceptional_primes
+        assert "DiffSet" not in listed
+        with pytest.raises(AttributeError, match="no attribute 'DiffSet'"):
+            multcorr.DiffSet
 
 
 class TestRendering:

@@ -149,15 +149,6 @@ class TestShiftSet:
         with pytest.raises(ValueError, match="negative"):
             ShiftSet([-1, 2])
 
-    def test_differences(self):
-        d = ShiftSet([0, 4, 6]).differences()
-        assert d.diffs == (2, 4, 6)
-        assert all(x <= 6 for x in d)
-
-    def test_differences_empty_for_singleton(self):
-        assert len(ShiftSet([7]).differences()) == 0
-        assert len(ShiftSet().differences()) == 0
-
 
 class TestOmega:
     def test_examples(self):
@@ -298,6 +289,7 @@ class TestExceptionalPrimes:
 
     @given(shift_sets)
     def test_members_divide_some_difference(self, shifts):
-        diffs = list(shifts.differences())
+        hs = shifts.shifts
+        diffs = [b - a for i, a in enumerate(hs) for b in hs[i + 1 :]]
         for p in exceptional_primes(shifts):
             assert any(d % p == 0 for d in diffs)

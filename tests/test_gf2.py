@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -242,7 +243,7 @@ class TestTwoElementMember:
             [sys.executable, "-O", "-c", code],
             capture_output=True,
             text=True,
-            env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+            env=dict(os.environ, PYTHONPATH=str(src)),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("certificate failed"), proc.stdout

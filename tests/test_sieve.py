@@ -293,6 +293,21 @@ class TestRunningAverage:
             with pytest.raises(BudgetError, match="MAX_SIEVED = 100"):
                 running_average(pset, shifts, cfg, threads)
 
+    def test_sieved_cap_counts_each_32_shifts(self, monkeypatch):
+        # 32 shifts weigh 1 and 33 weigh 2: x_max + max(H) = 50 doubled is
+        # the cap, one more raises before any window
+        monkeypatch.setattr(multcorr.sieve, "MAX_SIEVED", 100)
+        pset = PrimeSet([2])
+        assert running_average(pset, ShiftSet(range(32)), SieveConfig(x_max=69)).final.x == 69
+        with pytest.raises(BudgetError, match="plus max shift 31 exceeds the cap of MAX_SIEVED = 100"):
+            series_windows(pset, ShiftSet(range(32)), SieveConfig(x_max=70), 1)
+        shifts = ShiftSet(range(33))
+        assert running_average(pset, shifts, SieveConfig(x_max=18)).final.x == 18
+        with pytest.raises(
+            BudgetError, match="plus max shift 32 times 2 for 33 shifts exceeds the cap of MAX_SIEVED = 100"
+        ):
+            series_windows(pset, shifts, SieveConfig(x_max=19), 1)
+
     def test_segment_independence(self):
         pset, shifts = PrimeSet([2, 3]), ShiftSet([0, 4, 6])
         reference = None

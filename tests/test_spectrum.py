@@ -13,6 +13,7 @@ from multcorr import (
     construct_prime_set,
     correlation,
     describe_spectrum,
+    exceptional_primes,
     is_prime,
     local_density,
     running_average,
@@ -20,8 +21,9 @@ from multcorr import (
     truncated_correlation,
 )
 
+import multcorr.spectrum
 from multcorr.spectrum import _greedy
-from oracles import primes_upto
+from oracles import factorize, primes_upto
 
 ORACLE_PRIMES = primes_upto(10**6)
 
@@ -31,7 +33,8 @@ def fraction_greedy(target, eps, floor, avoid, budget, shifts):
     with the closed-form factor of a prime dividing no difference: the
     reference the integer greedy must reproduce prime for prime."""
     d = len(shifts)
-    diffs = list(shifts.differences())
+    hs = shifts.shifts
+    diffs = [b - a for i, a in enumerate(hs) for b in hs[i + 1 :]]
     current = Fraction(1)
     chosen = []
     scanned = 0
@@ -190,6 +193,59 @@ class TestConstruct:
         with pytest.raises(ValueError):
             construct_prime_set(ShiftSet([0]), Fraction(1, 2), Fraction(0))
 
+    def test_rejects_negative_budget_before_factoring(self, monkeypatch):
+        def unfactored(shifts):
+            raise AssertionError("factored before the budget check")
+
+        monkeypatch.setattr(multcorr.spectrum, "exceptional_primes", unfactored)
+        with pytest.raises(ValueError, match="budget must be non-negative, got -5"):
+            construct_prime_set(ShiftSet([0, 1]), Fraction(1, 2), Fraction(1, 1000), budget=-5)
+
+    def test_budget_zero_reaches_target_one(self):
+        built = construct_prime_set(ShiftSet([0, 1]), Fraction(1), Fraction(1, 1000), budget=0)
+        assert built == PrimeSet()
+        with pytest.raises(BudgetError, match="budget of 0 primes"):
+            construct_prime_set(ShiftSet([0, 1]), Fraction(1, 2), Fraction(1, 1000), budget=0)
+
+    @pytest.mark.parametrize("target", [Fraction(1, 2), Fraction(-1, 5)])
+    @pytest.mark.parametrize("floor", [None, 0])
+    def test_factors_the_differences_once(self, monkeypatch, target, floor):
+        calls = []
+
+        def counted(shifts):
+            calls.append(shifts)
+            return exceptional_primes(shifts)
+
+        monkeypatch.setattr(multcorr.spectrum, "exceptional_primes", counted)
+        shifts = ShiftSet([0, 1, 6])
+        construct_prime_set(shifts, target, Fraction(1, 1000), floor=floor)
+        assert calls == [shifts]
+
+    def test_floors_below_the_span_skip_every_dividing_prime(self):
+        # the dividing primes by trial division of each difference; only the
+        # witness of a negative target may be one of them
+        rng = random.Random(23)
+        negatives = 0
+        for _ in range(30):
+            shifts = ShiftSet([0] + rng.sample(range(1, 60), rng.randint(1, 3)))
+            hs = shifts.shifts
+            dividing = {p for i, a in enumerate(hs) for b in hs[i + 1 :] for p in factorize(b - a)}
+            desc = describe_spectrum(shifts)
+            eps = Fraction(1, 10 ** rng.randint(2, 4))
+            if desc.floor < 0 and rng.random() < 0.5:
+                negatives += 1
+                target = desc.floor * Fraction(rng.randint(100, 900), 1000)
+                allowed = {desc.witness}
+            else:
+                target = Fraction(rng.randint(150, 950), 1000)
+                allowed = set()
+            floor = rng.choice([0, rng.randrange(hs[-1])])
+            built = construct_prime_set(shifts, target, eps, floor=floor)
+            assert set(built) & dividing <= allowed
+            assert all(p > floor for p in set(built) - allowed)
+            assert abs(correlation(built, shifts).value - target) <= eps
+        assert negatives >= 5
+
     def test_budget_is_enforced(self):
         with pytest.raises(BudgetError):
             construct_prime_set(
@@ -211,14 +267,17 @@ class TestConstruct:
     def test_integer_greedy_matches_fraction_greedy(self):
         # Every other case scans from floor 0, so the greedy meets exceptional
         # primes, which it must skip, and non-exceptional primes below the
-        # span, whose factor comes from the density recursion.
+        # span, whose factor comes from the density recursion.  The greedy
+        # skips the exceptional primes it is told to avoid; the reference
+        # finds the dividing primes itself.
         rng = random.Random(12)
         negatives = below_span = 0
         for i in range(24):
             shifts = ShiftSet([0] + rng.sample(range(1, 50), rng.randint(0, 2)))
             desc = describe_spectrum(shifts)
             eps = Fraction(1, 10 ** rng.randint(3, 5))
-            span = max(shifts.differences().diffs, default=0)
+            span = shifts.shifts[-1]  # the shifts start at 0
+            exceptional = frozenset(exceptional_primes(shifts))
             floor = 0 if i % 2 else span
             if desc.floor < 0:
                 negatives += 1
@@ -227,7 +286,8 @@ class TestConstruct:
             else:
                 target = Fraction(rng.randint(150, 950), 1000)
                 args = (target, eps, floor, frozenset(), 10**5, shifts)
-            chosen, product = _greedy(*args)
+            target, eps, floor, avoid, budget, shifts = args
+            chosen, product = _greedy(target, eps, floor, avoid | exceptional, budget, shifts)
             assert (chosen, product) == fraction_greedy(*args)
             below_span += any(p <= span for p in chosen)
         assert 6 <= negatives <= 18
