@@ -4,7 +4,8 @@ A completely multiplicative function taking values in {-1, +1} is determined
 by the set of primes where it equals -1.  This module holds the two set types
 (`PrimeSet`, `ShiftSet`) and the exact pointwise evaluators: the restricted
 prime-factor count `omega`, the sign `liouville`, and the shifted product
-`shifted_sign`.
+`shifted_sign`.  Each set is a tuple of its members in increasing order,
+checked once on construction, so code reads it as that tuple.
 
 Everything here is pure and immutable; pointwise values are computed by
 repeated division by the configured primes only, never by full
@@ -22,6 +23,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
+from operator import index
 from typing import Iterable, Iterator
 
 # Pointwise evaluators accept inputs up to 2**63 - 1 (minus the largest shift
@@ -163,10 +165,14 @@ def primes_from(start: int) -> Iterator[int]:
         lo = hi
 
 
-def _check_distinct_sorted(values: tuple[int, ...], what: str) -> None:
-    for a, b in zip(values, values[1:]):
+def _sorted_members(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """The values as sorted ints, converted by operator.index so that a float
+    or a string raises TypeError instead of being truncated or parsed."""
+    ms = tuple(sorted(map(index, values)))
+    for a, b in zip(ms, ms[1:]):
         if a == b:
             raise ValueError(f"duplicate {what} {a}")
+    return ms
 
 
 def _check_prime(p: int) -> None:
@@ -187,88 +193,67 @@ def _check_span(shifts: tuple[int, ...]) -> None:
         )
 
 
-class PrimeSet:
+class PrimeSet(tuple):
     """Finite sorted set of verified primes (the -1 support of the sign function).
 
-    May be empty, which encodes the constant function +1.  Construction
-    rejects duplicates and anything that fails the primality check.
+    A tuple of its members in increasing order, so it compares and hashes
+    like that plain tuple.  May be empty, which encodes the constant
+    function +1.  Construction rejects duplicates, non-integers and anything
+    that fails the primality check.
     """
 
-    __slots__ = ("primes",)
+    __slots__ = ()
 
-    def __init__(self, primes: Iterable[int] = ()):
-        ps = tuple(sorted(int(p) for p in primes))
-        _check_distinct_sorted(ps, "prime")
+    def __new__(cls, primes: Iterable[int] = ()):
+        ps = _sorted_members(primes, "prime")
         for p in ps:
             _check_prime(p)
-        self.primes = ps
+        return super().__new__(cls, ps)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.primes)
-
-    def __len__(self) -> int:
-        return len(self.primes)
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.primes
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeSet) and self.primes == other.primes
-
-    def __hash__(self) -> int:
-        return hash(("PrimeSet", self.primes))
+    @property
+    def primes(self) -> "PrimeSet":
+        return self
 
     def __repr__(self) -> str:
-        return f"PrimeSet({list(self.primes)!r})"
+        return f"PrimeSet({list(self)!r})"
 
     def symmetric_difference(self, other: "PrimeSet") -> "PrimeSet":
-        return PrimeSet(set(self.primes) ^ set(other.primes))
+        return PrimeSet(set(self) ^ set(other))
 
 
-class ShiftSet:
+class ShiftSet(tuple):
     """Finite sorted set of non-negative integer shifts.
 
-    May be empty (the empty shifted product is identically +1).  Duplicates
-    are rejected rather than collapsed: a repeated shift would silently flip
-    the parity semantics of the product.
+    A tuple of its members in increasing order, so it compares and hashes
+    like that plain tuple.  May be empty (the empty shifted product is
+    identically +1).  Duplicates are rejected rather than collapsed: a
+    repeated shift would silently flip the parity semantics of the product.
     """
 
-    __slots__ = ("shifts",)
+    __slots__ = ()
 
-    def __init__(self, shifts: Iterable[int] = ()):
-        hs = tuple(sorted(int(h) for h in shifts))
-        _check_distinct_sorted(hs, "shift")
+    def __new__(cls, shifts: Iterable[int] = ()):
+        hs = _sorted_members(shifts, "shift")
         if hs and hs[0] < 0:
             raise ValueError(f"negative shift {hs[0]}")
-        self.shifts = hs
+        return super().__new__(cls, hs)
 
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.shifts)
-
-    def __len__(self) -> int:
-        return len(self.shifts)
-
-    def __contains__(self, h: int) -> bool:
-        return h in self.shifts
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ShiftSet) and self.shifts == other.shifts
-
-    def __hash__(self) -> int:
-        return hash(("ShiftSet", self.shifts))
+    @property
+    def shifts(self) -> "ShiftSet":
+        return self
 
     def __repr__(self) -> str:
-        return f"ShiftSet({list(self.shifts)!r})"
+        return f"ShiftSet({list(self)!r})"
 
     @property
     def max_shift(self) -> int:
-        return self.shifts[-1] if self.shifts else 0
+        return self[-1] if self else 0
 
     def translate(self, a: int) -> "ShiftSet":
-        return ShiftSet(h + a for h in self.shifts)
+        return ShiftSet(h + a for h in self)
 
     def symmetric_difference(self, other: "ShiftSet") -> "ShiftSet":
-        return ShiftSet(set(self.shifts) ^ set(other.shifts))
+        return ShiftSet(set(self) ^ set(other))
 
 
 def _check_argument(n: int, limit: int = MAX_INPUT) -> None:
@@ -282,7 +267,7 @@ def omega(pset: PrimeSet, n: int) -> int:
     """Number of prime factors of n, with multiplicity, restricted to pset."""
     _check_argument(n)
     count = 0
-    for p in pset.primes:
+    for p in pset:
         if p > n:
             break
         while n % p == 0:
@@ -391,8 +376,7 @@ def _prime_factors(m: int) -> set[int]:
 def exceptional_primes(shifts: ShiftSet) -> PrimeSet:
     """Primes dividing at least one pairwise difference of the shift set;
     every other prime has the closed-form factor 1 - 2|H|/(p+1)."""
-    hs = shifts.shifts
     found: set[int] = set()
-    for d in {b - a for i, a in enumerate(hs) for b in hs[i + 1 :]}:
+    for d in {b - a for i, a in enumerate(shifts) for b in shifts[i + 1 :]}:
         found |= _prime_factors(d)
     return PrimeSet(found)

@@ -69,11 +69,10 @@ def _eta(p: int, shifts: tuple[int, ...]) -> Fraction:
 def local_density(p: int, shifts: ShiftSet) -> Fraction:
     """Exact density of the -1 level set at a single prime p."""
     _check_prime(p)
-    hs = shifts.shifts
-    _check_span(hs)
-    if len(hs) < 2:
-        return Fraction(len(hs), p + 1)
-    return _eta(p, tuple([h - hs[0] for h in hs]))
+    _check_span(shifts)
+    if len(shifts) < 2:
+        return Fraction(len(shifts), p + 1)
+    return _eta(p, tuple([h - shifts[0] for h in shifts]))
 
 
 class DensityTrace(NamedTuple):
@@ -116,7 +115,7 @@ class DensityTrace(NamedTuple):
 def local_density_trace(p: int, shifts: ShiftSet) -> DensityTrace:
     """Recursion tree for `local_density(p, shifts)`, one node per step."""
     _check_prime(p)
-    _check_span(shifts.shifts)
+    _check_span(shifts)
 
     def walk(hs: tuple[int, ...]) -> DensityTrace:
         if not hs:
@@ -129,4 +128,4 @@ def local_density_trace(p: int, shifts: ShiftSet) -> DensityTrace:
             return DensityTrace("split", p, hs, kids)
         return DensityTrace("rescale", p, hs, kids, residue, len(hs) % 2 == 1)
 
-    return walk(shifts.shifts)
+    return walk(tuple(shifts))

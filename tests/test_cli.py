@@ -91,6 +91,16 @@ class TestDensityCommand:
         assert "rescale" in out and "split" in out
         assert "value = 1/6" in out
 
+    def test_trace_of_the_empty_set(self, capsys):
+        code, out, err = run_cli(capsys, "density", "-p", "2", "-H", "", "--trace")
+        assert code == 0 and err == ""
+        assert out == "empty set: density 0\nvalue = 0/1\neta=0/1 decimal=0\n"
+        code, out, err = run_cli(capsys, "density", "-p", "2", "-H", "", "--trace", "--json")
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        assert record["inputs"] == {"H": [], "p": 2}
+        assert record["result"]["trace"] == ["empty set: density 0", "value = 0/1"]
+
     def test_bad_shift_token_names_it(self, capsys):
         code, _, err = run_cli(capsys, "density", "-p", "2", "-H", "0,x,6")
         assert code == 1 and "'x'" in err

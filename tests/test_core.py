@@ -1,8 +1,13 @@
+import copy
+import inspect
 import math
+import pickle
 import random
+import sys
 import time
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -150,6 +155,36 @@ class TestShiftSet:
             ShiftSet([-1, 2])
 
 
+@pytest.mark.parametrize(
+    "cls,view,members", [(PrimeSet, "primes", (2, 3, 5)), (ShiftSet, "shifts", (0, 4, 6))]
+)
+class TestSetsAreTuples:
+    def test_equal_and_hash_like_the_plain_tuple(self, cls, view, members):
+        s = cls(reversed(members))
+        assert isinstance(s, tuple) and s == members and hash(s) == hash(members)
+        assert {members: "plain"}[s] == "plain"
+        assert getattr(s, view) is s
+
+    def test_copy_and_pickle_keep_the_type(self, cls, view, members):
+        s = cls(members)
+        for copied in (copy.copy(s), pickle.loads(pickle.dumps(s))):
+            assert type(copied) is cls and copied == s
+
+    def test_slices_and_sums_are_plain_tuples(self, cls, view, members):
+        s = cls(members)
+        assert type(s[1:]) is tuple and s[1:] == members[1:]
+        assert type(s + s) is tuple and type(s + (7,)) is tuple
+
+    def test_numpy_integers_become_ints(self, cls, view, members):
+        s = cls(np.array(members[::-1], dtype=np.int64))
+        assert s == members and all(type(m) is int for m in s)
+
+    @pytest.mark.parametrize("bad", [3.9, 4.0, "7"])
+    def test_non_integers_rejected(self, cls, view, members, bad):
+        with pytest.raises(TypeError):
+            cls([*members, bad])
+
+
 class TestOmega:
     def test_examples(self):
         assert omega(PrimeSet([2, 3]), 12) == 3
@@ -253,6 +288,34 @@ class TestExceptionalPrimes:
         for p, q in pairs:
             assert p * q < 2**64
             assert exceptional_primes(ShiftSet([0, p * q])) == PrimeSet({p, q})
+
+    def test_products_of_two_primes_past_trial_division(self):
+        ps = [p for p in primes_upto(1300) if p > core._TRIAL_PRIMES[-1]]
+        for i, p in enumerate(ps):
+            for q in ps[i:]:
+                assert core._prime_factors(p * q) == set(factorize(p * q))
+
+    def test_pollard_brent_retraces_an_overshot_batch(self):
+        # the batched gcd for 1031 * 1039 overshoots to n, so the walk is
+        # retraced one step at a time
+        lines, first = inspect.getsourcelines(core._pollard_brent)
+        retrace = first + next(i for i, line in enumerate(lines) if "retrace" in line) + 1
+        hit = set()
+
+        def local(frame, event, arg):
+            hit.add(frame.f_lineno)
+            return local
+
+        def calls(frame, event, arg):
+            return local if frame.f_code is core._pollard_brent.__code__ else None
+
+        old = sys.gettrace()
+        sys.settrace(calls)
+        try:
+            assert core._prime_factors(1031 * 1039) == {1031, 1039}
+        finally:
+            sys.settrace(old)
+        assert retrace in hit
 
     def test_prime_cofactor_past_psi_12_meets_the_step_cap(self, monkeypatch):
         # 2**89 - 1 is prime and past psi_12, where is_prime refuses to answer

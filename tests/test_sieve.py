@@ -1,5 +1,7 @@
 import concurrent.futures
+import copy
 import itertools
+import pickle
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -459,15 +461,17 @@ class TestSeriesTypes:
         sample = SeriesSample(5, 3)
         assert sample.average == Fraction(3, 5)
 
-    def test_rejects_impossible_sum(self):
-        with pytest.raises(ValueError):
-            SignSeries((SeriesSample(5, 2),))  # parity mismatch
-        with pytest.raises(ValueError):
-            SignSeries((SeriesSample(5, 7),))  # |sum| > x
-
-    def test_rejects_unordered_positions(self):
-        with pytest.raises(ValueError):
-            SignSeries((SeriesSample(10, 0), SeriesSample(10, 0)))
+    def test_records_are_tuples(self):
+        cfg = SieveConfig(x_max=9, sample_stride=4)
+        series = running_average(PrimeSet([2]), ShiftSet([0, 1]), cfg)
+        assert type(series) is SignSeries and isinstance(series, tuple)
+        assert series == ((4, 0), (8, -4), (9, -5))
+        assert series.final == SeriesSample(9, -5) == (9, -5)
+        assert series.final.x == 9 and series.final.signed_sum == -5
+        assert type(series[1:]) is tuple
+        for copied in (copy.copy(series), pickle.loads(pickle.dumps(series))):
+            assert type(copied) is SignSeries and copied == series
+            assert all(type(s) is SeriesSample for s in copied)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
